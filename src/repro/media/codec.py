@@ -32,7 +32,7 @@ import numpy as np
 from repro.media.bitstream import BitReader, BitWriter, BitstreamError
 from repro.media.dct import fdct8x8, idct8x8
 from repro.media.gop import FramePlan, FrameType, GopStructure
-from repro.media.motion import MB, MotionVector, estimate, predict_mb, sad
+from repro.media.motion import MB, MotionVector, estimate, predict_block, predict_mb, sad
 from repro.media.quant import dequantize, quantize
 from repro.media.scan import inverse_zigzag, run_level_decode, run_level_encode, zigzag
 from repro.media.video import Frame
@@ -253,8 +253,6 @@ def mode_decision(
         bvec, bcost = estimate(current.y, bwd.y, y0, x0, search_range, half_pel)
         candidates.append((bcost, MbMode.BWD, None, bvec))
         if fwd is not None:
-            from repro.media.motion import predict_block
-
             bi = np.floor(
                 (
                     predict_block(fwd.y, y0, x0, MB, fvec)

@@ -5,9 +5,22 @@ macroblocks (SAD criterion), plus the prediction builders for P
 (one reference) and B (two references, averaged) macroblocks.  Chroma
 uses halved motion vectors on 8x8 blocks (4:2:0).
 
+The integer search is vectorized per macroblock: one edge-clamped
+``MB + 2r`` square window of the reference (``r`` the search range)
+holds every candidate, ``sliding_window_view`` turns it into the
+``(2r+1, 2r+1)`` grid of candidate patches, and one int32 SAD tensor
+scores them all.  The zero vector wins any tie; otherwise the first
+strict minimum in raster order wins.  Half-pel refinement scores its
+8 neighbours through :func:`predict_block`, so MPEG's bilinear
+rounding lives in one place.  Edge clamping everywhere is
+``ndarray.take(mode="clip")``: an index outside the frame reads the
+nearest border row/column.
+
 This is the functional model of the first instance's MC/ME coprocessor
 (paper §6) — in hardware it is the unit with a dedicated off-chip
-connection for reference-frame access.
+connection for reference-frame access.  How the search is computed
+here does not affect simulated cycles: the MC/ME kernel's cost model
+(``tasks.py``) charges per candidate of the search window.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["MotionVector", "estimate", "predict_block", "predict_mb", "sad"]
 
@@ -45,11 +59,13 @@ def sad(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _clamped_patch(frame: np.ndarray, y: int, x: int, h: int, w: int) -> np.ndarray:
-    """Patch with edge-clamped coordinates (motion over frame borders)."""
-    hh, ww = frame.shape
-    ys = np.clip(np.arange(y, y + h), 0, hh - 1)
-    xs = np.clip(np.arange(x, x + w), 0, ww - 1)
-    return frame[np.ix_(ys, xs)]
+    """``h`` x ``w`` patch at (y, x) with edge-clamped coordinates.
+
+    ``take(mode="clip")`` maps every row/column index outside the frame
+    to the nearest edge one, so motion over the frame borders repeats
+    the border pixels."""
+    rows = frame.take(np.arange(y, y + h), 0, mode="clip")
+    return rows.take(np.arange(x, x + w), 1, mode="clip")
 
 
 def estimate(
@@ -64,20 +80,27 @@ def estimate(
 
     Full search over +-search_range integer positions; with
     ``half_pel``, a +-1 half-pel refinement around the integer winner
-    (the classic two-stage search).  Returns the best (vector, SAD);
-    the zero vector wins ties — deterministic and compression-friendly.
+    (the classic two-stage search).  Returns the best (vector, SAD).
+
+    The integer search is one SAD tensor: every candidate patch is a
+    view into a single edge-clamped window of the reference.  The zero
+    vector wins any tie; otherwise the winner is the first strict
+    minimum in raster order (dy, then dx), which is what ``argmin``
+    returns.
     """
-    target = current[mb_y : mb_y + MB, mb_x : mb_x + MB]
-    best_vec = MotionVector(0, 0)
-    best_cost = sad(target, _clamped_patch(reference, mb_y, mb_x, MB, MB))
-    for dy in range(-search_range, search_range + 1):
-        for dx in range(-search_range, search_range + 1):
-            if dy == 0 and dx == 0:
-                continue
-            cost = sad(target, _clamped_patch(reference, mb_y + dy, mb_x + dx, MB, MB))
-            if cost < best_cost:
-                best_cost = cost
-                best_vec = MotionVector(dy, dx)
+    r = search_range
+    target = current[mb_y : mb_y + MB, mb_x : mb_x + MB].astype(np.int32)
+    window = _clamped_patch(reference, mb_y - r, mb_x - r, MB + 2 * r, MB + 2 * r)
+    # costs[r + dy, r + dx] is the SAD of candidate (dy, dx)
+    candidates = sliding_window_view(window.astype(np.int32), (MB, MB))
+    costs = np.abs(candidates - target).sum(axis=(2, 3))
+    best = int(costs.argmin())
+    best_cost = int(costs.flat[best])
+    if best_cost < costs[r, r]:
+        dy, dx = divmod(best, 2 * r + 1)
+        best_vec = MotionVector(dy - r, dx - r)
+    else:
+        best_vec = MotionVector(0, 0)
     if not half_pel:
         return best_vec, best_cost
     # half-pel refinement around the integer winner

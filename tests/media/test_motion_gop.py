@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.media.gop import FrameType, GopStructure
-from repro.media.motion import MotionVector, estimate, predict_block, predict_mb, sad
+from repro.media.motion import (
+    MB,
+    MotionVector,
+    _clamped_patch,
+    estimate,
+    predict_block,
+    predict_mb,
+    sad,
+)
 
 
 def test_sad_basic():
@@ -30,6 +40,112 @@ def test_estimate_prefers_zero_on_tie():
     vec, cost = estimate(cur, ref, 0, 0, search_range=2)
     assert (vec.dy, vec.dx) == (0, 0)
     assert cost == 0
+
+
+def _oracle_patch(frame, y, x, h, w):
+    """Edge clamping spelled out: clip each coordinate into the frame."""
+    ys = np.clip(np.arange(y, y + h), 0, frame.shape[0] - 1)
+    xs = np.clip(np.arange(x, x + w), 0, frame.shape[1] - 1)
+    return frame[np.ix_(ys, xs)]
+
+
+def _oracle_estimate(current, reference, mb_y, mb_x, search_range, half_pel):
+    """Scalar full search: one SAD per candidate, zero vector first,
+    later candidates win only on a strictly smaller cost."""
+    target = current[mb_y : mb_y + MB, mb_x : mb_x + MB]
+    best_vec = MotionVector(0, 0)
+    best_cost = sad(target, _oracle_patch(reference, mb_y, mb_x, MB, MB))
+    for dy in range(-search_range, search_range + 1):
+        for dx in range(-search_range, search_range + 1):
+            cost = sad(target, _oracle_patch(reference, mb_y + dy, mb_x + dx, MB, MB))
+            if cost < best_cost:
+                best_vec, best_cost = MotionVector(dy, dx), cost
+    if not half_pel:
+        return best_vec, best_cost
+    centre = MotionVector(2 * best_vec.dy, 2 * best_vec.dx, half_pel=True)
+    best_vec = centre
+    for hdy in (-1, 0, 1):
+        for hdx in (-1, 0, 1):
+            cand = MotionVector(centre.dy + hdy, centre.dx + hdx, half_pel=True)
+            cost = sad(target, predict_block(reference, mb_y, mb_x, MB, cand))
+            if cost < best_cost:
+                best_vec, best_cost = cand, cost
+    return best_vec, best_cost
+
+
+@st.composite
+def _me_case(draw):
+    h = draw(st.integers(MB, 64))
+    w = draw(st.integers(MB, 64))
+    kind = draw(st.sampled_from(["random", "flat", "levels3", "shifted", "periodic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rolled(frame):
+        shift = (draw(st.integers(-8, 8)), draw(st.integers(-8, 8)))
+        return np.roll(frame, shift, axis=(0, 1))
+
+    if kind == "random":
+        ref = rng.integers(0, 256, (h, w))
+        cur = rng.integers(0, 256, (h, w))
+    elif kind == "flat":  # every candidate ties
+        ref = np.full((h, w), draw(st.integers(0, 255)))
+        cur = np.full((h, w), draw(st.integers(0, 255)))
+    elif kind == "levels3":  # dense ties
+        ref = rng.integers(0, 3, (h, w))
+        cur = rng.integers(0, 3, (h, w))
+    elif kind == "shifted":
+        ref = rng.integers(0, 256, (h, w))
+        cur = rolled(ref)
+    else:  # a tiled pattern: equal minima away from the zero vector
+        tile = rng.integers(0, 256, (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+        ref = np.tile(tile, (h // tile.shape[0] + 1, w // tile.shape[1] + 1))[:h, :w]
+        cur = rolled(ref)
+    # macroblock corners biased toward the frame edges
+    mb_y = draw(st.sampled_from([0, h - MB]) | st.integers(0, h - MB))
+    mb_x = draw(st.sampled_from([0, w - MB]) | st.integers(0, w - MB))
+    search_range = draw(st.integers(1, 7))
+    half_pel = draw(st.booleans())
+    return cur.astype(np.uint8), ref.astype(np.uint8), mb_y, mb_x, search_range, half_pel
+
+
+@settings(max_examples=200, deadline=None)
+@given(_me_case())
+def test_estimate_matches_scalar_full_search(case):
+    cur, ref, mb_y, mb_x, search_range, half_pel = case
+    vec, cost = estimate(cur, ref, mb_y, mb_x, search_range, half_pel)
+    want_vec, want_cost = _oracle_estimate(cur, ref, mb_y, mb_x, search_range, half_pel)
+    assert (vec.dy, vec.dx, vec.half_pel) == (want_vec.dy, want_vec.dx, want_vec.half_pel)
+    assert cost == want_cost
+
+
+@pytest.mark.parametrize(
+    "y, x, h, w",
+    [
+        (2, 3, 8, 8),  # inside
+        (0, 0, 16, 20),  # the whole frame
+        (-3, 4, 8, 8),  # straddles the top edge
+        (12, 4, 8, 8),  # straddles the bottom edge
+        (4, -5, 8, 8),  # straddles the left edge
+        (4, 15, 8, 8),  # straddles the right edge
+        (-4, -4, 24, 28),  # straddles all four edges
+        (-40, 3, 8, 8),  # entirely above
+        (30, 3, 8, 8),  # entirely below
+        (3, -50, 8, 8),  # entirely left
+        (3, 40, 8, 8),  # entirely right
+        (-40, 60, 4, 4),  # entirely outside a corner
+    ],
+)
+def test_clamped_patch_matches_clip_oracle(y, x, h, w):
+    frame = np.random.default_rng(5).integers(0, 256, (16, 20)).astype(np.uint8)
+    patch = _clamped_patch(frame, y, x, h, w)
+    assert patch.shape == (h, w)
+    assert np.array_equal(patch, _oracle_patch(frame, y, x, h, w))
+
+
+@pytest.mark.parametrize("y, x", [(0, 0), (-2, 3), (1, -4), (5, 9), (-9, -9)])
+def test_clamped_patch_single_row_frame(y, x):
+    frame = np.arange(12, dtype=np.uint8).reshape(1, 12)
+    assert np.array_equal(_clamped_patch(frame, y, x, 3, 5), _oracle_patch(frame, y, x, 3, 5))
 
 
 def test_predict_block_clamps_edges():
