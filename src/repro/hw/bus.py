@@ -8,6 +8,12 @@ cycles, and release.  Arbitration is FIFO with optional priorities —
 with single-outstanding-transaction masters (our shells) FIFO equals
 round-robin fairness.
 
+The arbiter is a busy flag plus a (priority, seq)-sorted wait list.
+Even an uncontended request round-trips through a grant event at the
+current (time, priority): granting synchronously would shift the
+sequence numbers of same-cycle events, which the model's wait counters
+observe.
+
 The same class models the off-chip system-bus port used by the MC/ME
 and VLD coprocessors, with a larger setup latency (DRAM access).
 """
@@ -15,12 +21,12 @@ and VLD coprocessors, with a larger setup latency (DRAM access).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Tuple, TYPE_CHECKING
+from typing import Dict, Generator, List, Tuple
 
-from repro.sim import Event, Resource, Simulator
+from repro.sim import Event, Simulator
 from repro.sim.events import Timeout
 
-__all__ = ["Bus", "FastBus", "BusStats"]
+__all__ = ["Bus", "BusStats"]
 
 
 @dataclass
@@ -63,7 +69,11 @@ class Bus:
         self.name = name
         self.width_bytes = width_bytes
         self.setup_latency = setup_latency
-        self._arbiter = Resource(sim, capacity=1)
+        self._busy = False
+        #: (priority, seq, grant event), kept sorted: lower priority
+        #: value first, FIFO among equals
+        self._waiting: List[Tuple[int, int, Event]] = []
+        self._seq = 0
         self.stats = BusStats()
         #: per-master byte counters (key: master name)
         self.per_master_bytes: Dict[str, int] = {}
@@ -81,60 +91,16 @@ class Bus:
         """
         if n_bytes < 0:
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
-        t_request = self.sim.now
-        grant = self._arbiter.request(priority=priority)
-        yield grant
-        self.stats.wait_cycles += self.sim.now - t_request
-        cycles = self.occupancy_cycles(n_bytes)
-        yield self.sim.timeout(cycles)
-        self._arbiter.release(grant)
-        self.stats.transactions += 1
-        self.stats.bytes_transferred += n_bytes
-        self.stats.busy_cycles += cycles
-        if master:
-            self.per_master_bytes[master] = self.per_master_bytes.get(master, 0) + n_bytes
-
-    @property
-    def queue_length(self) -> int:
-        return self._arbiter.queue_length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Bus {self.name!r} {self.width_bytes}B wide, {self.stats.transactions} txns>"
-
-
-class FastBus(Bus):
-    """:class:`Bus` with the arbiter inlined (fast engine).
-
-    Event-schedule equivalent to the reference: an uncontended request
-    still round-trips through a grant event at the same (time,
-    priority) — skipping it would reorder same-cycle event sequence
-    numbers, which the model's wait counters observe.  Only the
-    :class:`~repro.sim.resources.Resource` machinery around that event
-    (Request objects, holder sets, grant accounting) is flattened into
-    a busy flag and a (priority, seq)-sorted wait list.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._busy = False
-        #: (priority, seq, grant event), kept sorted — same grant order
-        #: as the reference arbiter's priority-then-FIFO policy
-        self._fast_waiting: List[Tuple[int, int, Event]] = []
-        self._fast_seq = 0
-
-    def transfer(self, n_bytes: int, master: str = "", priority: int = 0) -> Generator:
-        if n_bytes < 0:
-            raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
         sim = self.sim
         t_request = sim.now
         grant = Event(sim)
-        if not self._busy and not self._fast_waiting:
+        waiting = self._waiting
+        if not self._busy and not waiting:
             self._busy = True
             grant.succeed(None)
         else:
-            self._fast_seq += 1
-            entry = (priority, self._fast_seq, grant)
-            waiting = self._fast_waiting
+            self._seq += 1
+            entry = (priority, self._seq, grant)
             idx = len(waiting)
             while idx > 0 and waiting[idx - 1][:2] > entry[:2]:
                 idx -= 1
@@ -142,12 +108,11 @@ class FastBus(Bus):
         yield grant
         stats = self.stats
         stats.wait_cycles += sim.now - t_request
-        cycles = self.setup_latency - (-n_bytes // self.width_bytes)
+        cycles = self.occupancy_cycles(n_bytes)
         yield Timeout(sim, cycles)
-        # release: hand the bus to the next waiter (same scheduling
-        # point as the reference's _arbiter.release)
-        if self._fast_waiting:
-            self._fast_waiting.pop(0)[2].succeed(None)
+        # release: hand the bus straight to the next waiter
+        if waiting:
+            waiting.pop(0)[2].succeed(None)
         else:
             self._busy = False
         stats.transactions += 1
@@ -159,4 +124,7 @@ class FastBus(Bus):
 
     @property
     def queue_length(self) -> int:
-        return len(self._fast_waiting)
+        return len(self._waiting)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Bus {self.name!r} {self.width_bytes}B wide, {self.stats.transactions} txns>"

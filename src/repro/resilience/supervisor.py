@@ -108,6 +108,26 @@ def _spec_payloads(specs: Sequence[RunSpec]) -> List[dict]:
     ]
 
 
+def _spec_drift(stored: List[dict], current: List[dict]) -> str:
+    """Where a checkpointed sweep's spec list first departs from the
+    one being resumed (kwargs by name only: values may be bitstreams)."""
+    if len(stored) != len(current):
+        return f"{len(stored)} run(s) there, {len(current)} here"
+    for i, (old, new) in enumerate(zip(stored, current)):
+        for field_name in ("factory", "label"):
+            if old.get(field_name) != new[field_name]:
+                return f"run {i} has a different {field_name}"
+        old_kw, new_kw = old.get("kwargs", {}), new["kwargs"]
+        for key in sorted(set(old_kw) | set(new_kw)):
+            if key not in new_kw:
+                return f"run {i} passes {key!r} there, not here"
+            if key not in old_kw:
+                return f"run {i} passes {key!r} here, not there"
+            if old_kw[key] != new_kw[key]:
+                return f"run {i} passes a different {key!r}"
+    return "same specs"
+
+
 def _sweep_digest(payloads: List[dict]) -> str:
     import hashlib
 
@@ -179,7 +199,6 @@ def _worker_main(
                         "violations": [v.to_dict() for v in violations],
                     },
                     wall_time=time.perf_counter() - start,
-                    engine=getattr(system, "engine", "reference"),
                     obs_level=str(getattr(system, "obs", "full")),
                 ).to_dict(include_timing=True))
                 return
@@ -224,7 +243,6 @@ def _worker_main(
                 else None
             ),
             wall_time=time.perf_counter() - start,
-            engine=getattr(system, "engine", "reference"),
             obs_level=str(obs) if obs is not None else "full",
         ).to_dict(include_timing=True))
     except Exception as e:  # noqa: BLE001 — the result file carries it
@@ -235,7 +253,6 @@ def _worker_main(
             error=f"{type(e).__name__}: {e}",
             metrics={"traceback": traceback.format_exc(limit=8)},
             wall_time=time.perf_counter() - start,
-            engine=str(kwargs.get("engine", "reference")),
             obs_level=str(kwargs.get("obs_level", "full")),
         ).to_dict(include_timing=True))
 
@@ -312,8 +329,9 @@ class Supervisor:
                 raise SupervisorError(
                     f"checkpoint dir {d!r} holds a different sweep "
                     f"(digest {existing.get('digest', '?')[:12]} != "
-                    f"{digest[:12]}); use a fresh directory or the "
-                    f"original spec list"
+                    f"{digest[:12]}: "
+                    f"{_spec_drift(existing.get('specs', []), payloads)}); "
+                    f"use a fresh directory or the original spec list"
                 )
             if not resume:
                 raise SupervisorError(

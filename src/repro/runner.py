@@ -130,9 +130,6 @@ class RunResult:
     #: the worker process died (pool breakage, signal, hard exit) —
     #: ``error`` carries the exception repr
     crashed: bool = False
-    #: which execution core produced this result ("reference"/"fast");
-    #: on failure, the engine the spec *asked* for
-    engine: str = "reference"
     #: observability tier the run recorded at ("off".."full"); below
     #: "full" there are no byte histories, so ``histories_sha256`` is
     #: None — the tier in the result makes that unmistakable
@@ -154,7 +151,6 @@ class RunResult:
             "histories_sha256": self.histories_sha256,
             "timed_out": self.timed_out,
             "crashed": self.crashed,
-            "engine": self.engine,
             "obs_level": self.obs_level,
         }
         if include_timing:
@@ -178,7 +174,6 @@ class RunResult:
             histories_sha256=data.get("histories_sha256"),
             timed_out=data.get("timed_out", False),
             crashed=data.get("crashed", False),
-            engine=data.get("engine", "reference"),
             obs_level=data.get("obs_level", "full"),
             wall_time=data.get("wall_time", 0.0),
             attempts=data.get("attempts", 1),
@@ -303,15 +298,9 @@ def _histories_digest(histories: Mapping[str, bytes]) -> str:
     return h.hexdigest()
 
 
-def _spec_engine(spec: RunSpec) -> str:
-    """The engine a spec *requested* (used when the run never built a
-    system — failures, timeouts, worker crashes)."""
-    return str(dict(spec.kwargs).get("engine", "reference"))
-
-
 def _spec_obs_level(spec: RunSpec) -> str:
-    """The observability tier a spec *requested* (failure-path twin of
-    :func:`_spec_engine`)."""
+    """The observability tier a spec *requested* (used when the run
+    never built a system — failures, timeouts, worker crashes)."""
     return str(dict(spec.kwargs).get("obs_level", "full"))
 
 
@@ -360,13 +349,9 @@ def _execute_spec(index: int, spec: RunSpec) -> RunResult:
                 else None
             ),
             wall_time=time.perf_counter() - start,
-            engine=getattr(system, "engine", "reference"),
             obs_level=str(obs) if obs is not None else "full",
         )
     except Exception as e:  # noqa: BLE001 — the report carries the error
-        # an unknown engine name lands here too, as the ValueError from
-        # resolve_engine() naming the known engines — a diagnosis in the
-        # report, not a KeyError taking the sweep down
         return RunResult(
             index=index,
             label=label,
@@ -374,7 +359,6 @@ def _execute_spec(index: int, spec: RunSpec) -> RunResult:
             error=f"{type(e).__name__}: {e}",
             metrics={"traceback": traceback.format_exc(limit=8)},
             wall_time=time.perf_counter() - start,
-            engine=_spec_engine(spec),
             obs_level=_spec_obs_level(spec),
         )
 
@@ -489,7 +473,6 @@ class ParallelRunner:
                         error=f"TimeoutError: run exceeded {timeout:g}s",
                         timed_out=True,
                         wall_time=timeout or 0.0,
-                        engine=_spec_engine(spec),
                         obs_level=_spec_obs_level(spec),
                     )
                 except Exception as e:
@@ -503,7 +486,6 @@ class ParallelRunner:
                         ok=False,
                         error=f"{type(e).__name__}: {e!r}",
                         crashed=True,
-                        engine=_spec_engine(spec),
                         obs_level=_spec_obs_level(spec),
                     )
                 if not result.ok and attempts[i] <= retries:

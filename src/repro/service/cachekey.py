@@ -11,9 +11,9 @@ canonical JSON form of the whole request:
   snapshot-capture time, because they cannot anchor a replay);
 * the factory **kwargs, normalized against the factory's signature
   with defaults applied** — so ``quickstart_run()`` and
-  ``quickstart_run(engine="reference")`` are *one* cache entry (they
+  ``quickstart_run(obs_level="full")`` are *one* cache entry (they
   are the same simulation by construction), while any actual value
-  change (engine, obs_level, sample_interval, fault plan/seed, shell
+  change (obs_level, sample_interval, fault plan/seed, shell
   or coprocessor parameters, payload bytes) produces a different key;
   values are encoded with the snapshot codec, so ``bytes`` payloads
   and ``to_dict``-able parameter dataclasses key on their content;
@@ -49,7 +49,7 @@ __all__ = ["KEY_SCHEMA", "CacheKeyError", "canonical_request", "cache_key"]
 
 #: Schema tag hashed into every key; bump it on any change to the key
 #: material so old store entries miss instead of being misread.
-KEY_SCHEMA = "repro.service.key/1"
+KEY_SCHEMA = "repro.service.key/2"
 
 
 class CacheKeyError(ValueError):

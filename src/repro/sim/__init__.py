@@ -14,8 +14,8 @@ Key classes
 ``Process``
     A generator that yields events; resumed when they fire.
 ``Resource`` / ``Store``
-    Queued mutual exclusion (bus arbitration) and producer/consumer
-    hand-off.
+    Queued mutual exclusion (the centralized sync CPU) and
+    producer/consumer hand-off.
 ``probe``
     Time-weighted statistics used by the performance-measurement
     infrastructure (Section 5.4 of the paper).
@@ -26,9 +26,11 @@ schedule.  Simulation time is integral (clock cycles); there is no
 floating-point time drift.
 """
 
+# the kernel first: it binds the event and process classes its
+# factories create at the end of its own module
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.faults import FaultInjector, FaultPlan, FaultStats, LossPlan, StallSpec
-from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Process
 from repro.sim.probe import Series, TimeWeightedStat, UtilizationProbe
 from repro.sim.resources import Resource, Store

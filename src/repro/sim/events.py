@@ -9,9 +9,9 @@ Processes (see :mod:`repro.sim.process`) yield events; the process is
 resumed with the event's value when it fires, or the event's exception
 is thrown into the generator.
 
-Compression-boundary contract: the fast engine (see
-:mod:`repro.sim.fastengine` and ``EclipseSystem._deadlock_monitor``)
-may leap the clock over an idle window only when the event queue is
+Compression-boundary contract: the deadlock monitor (see
+:mod:`repro.sim.kernel` and ``EclipseSystem._deadlock_monitor``) may
+leap the clock over an idle window only when the event queue is
 *empty* at the decision point — any triggered-but-unfired event
 (watchdog timeout, sampler tick, fault injection) therefore pins a
 compression boundary simply by being scheduled.  Nothing here needs to

@@ -3,10 +3,34 @@
 The kernel is deliberately small.  All model behaviour lives in
 processes (see :mod:`repro.sim.process`); the kernel only orders event
 callbacks in (time, priority, insertion) order and advances the clock.
+
+The hot paths are flattened for host speed: :meth:`Simulator.run` pops
+and fires events in one frame, with Python's cyclic garbage collector
+parked while it loops, and the event factories bind their classes at
+module level.  Two invariants keep that — and every other host-speed
+shortcut in the model — invisible in the results, because the model's
+counters (``wait_cycles``, ``idle_wait_cycles``, fill statistics)
+encode the event schedule itself:
+
+1. **Flattening keeps the schedule.**  A shortcut may remove Python
+   frames, but every ``schedule()`` call must still happen at the same
+   (time, priority, seq): same order, same time, same priority, so the
+   sequence numbers that break heap ties are unchanged.
+2. **Compression only leaps provably dead windows.**  The clock may
+   jump over an idle window only when the queue holds nothing but the
+   deadlock monitor's own poll (see
+   ``EclipseSystem._deadlock_monitor``): progress is then frozen for
+   good and the verdict cycle is computable in closed form.  Any other
+   pending event — a watchdog retry, a fault stall, a sampler tick —
+   pins the boundary, because its callbacks can schedule new work.
+
+``tests/regression/test_engine_corpus.py`` holds the kernel to both:
+a frozen corpus of result, state, op-log and deadlock digests.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -76,29 +100,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # factories (convenience mirrors of the events / process modules)
     # ------------------------------------------------------------------
-    def event(self):
-        from repro.sim.events import Event
-
+    def event(self) -> "Event":
         return Event(self)
 
-    def timeout(self, delay: int, value: Any = None):
-        from repro.sim.events import Timeout
-
+    def timeout(self, delay: int, value: Any = None) -> "Timeout":
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator):
-        from repro.sim.process import Process
-
+    def process(self, generator: Generator) -> "Process":
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Any]):
-        from repro.sim.events import AllOf
-
+    def all_of(self, events: Iterable[Any]) -> "AllOf":
         return AllOf(self, list(events))
 
-    def any_of(self, events: Iterable[Any]):
-        from repro.sim.events import AnyOf
-
+    def any_of(self, events: Iterable[Any]) -> "AnyOf":
         return AnyOf(self, list(events))
 
     # ------------------------------------------------------------------
@@ -107,8 +121,6 @@ class Simulator:
     def step(self) -> None:
         """Fire the single next event, advancing time to it."""
         when, _prio, _seq, event = heapq.heappop(self._queue)
-        if when < self._now:  # pragma: no cover - guarded by schedule()
-            raise SimulationError("event queue corrupted: time went backwards")
         self._now = when
         event._fire()
 
@@ -137,16 +149,25 @@ class Simulator:
         when the queue drains before ``until`` — so an incremental
         ``advance(n); advance(2*n); ...`` sequence ends at exactly the
         same final time as one uninterrupted run.
+
+        The cyclic garbage collector is parked for the duration: the
+        model allocates many short-lived events that reference counting
+        reclaims, and whole-heap scans mid-run only cost time.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         fired = 0
+        queue = self._queue
+        pop = heapq.heappop
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
         try:
-            while self._queue:
+            while queue:
                 if stop is not None and stop():
                     return
-                when = self._queue[0][0]
+                when = queue[0][0]
                 if until is not None and when >= until:
                     self._now = until
                     return
@@ -154,12 +175,16 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; possible livelock"
                     )
-                self.step()
+                item = pop(queue)
+                self._now = item[0]
+                item[3]._fire()
                 fired += 1
             if advance_time and until is not None and until > self._now:
                 self._now = until
         finally:
             self._running = False
+            if gc_was_enabled:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # introspection
@@ -170,3 +195,11 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now} pending={len(self._queue)}>"
+
+
+# Bound after the class: events and processes import this module's
+# priorities and SimulationError, so the package imports the kernel
+# first (see repro/sim/__init__.py) and the factories above resolve
+# these names as plain module globals.
+from repro.sim.events import AllOf, AnyOf, Event, Timeout  # noqa: E402
+from repro.sim.process import Process  # noqa: E402

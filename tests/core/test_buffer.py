@@ -75,3 +75,18 @@ def test_bad_construction():
         buf.addr_of(-1)
     with pytest.raises(ValueError):
         buf.segments(0, -1)
+
+
+def test_memoized_decompositions_match_fresh_ones():
+    """One buffer answers repeated queries from its memo; every answer
+    must equal a fresh buffer's, whatever the length or line size."""
+    def fresh():
+        return CyclicBuffer(base=48, size=100)
+
+    buf = fresh()
+    for position in range(0, 300, 7):
+        for n_bytes in (0, 1, 13, 100):
+            assert buf.segments(position, n_bytes) == fresh().segments(position, n_bytes)
+            for line_size in (16, 32):
+                assert (buf.lines(position, n_bytes, line_size)
+                        == fresh().lines(position, n_bytes, line_size))

@@ -35,7 +35,7 @@ def test_ingest_validates_ts_length():
 
 
 # ---------------------------------------------------------------------------
-# determinism: the both-engine identity foundation
+# determinism: the same seed recovers the same stream
 # ---------------------------------------------------------------------------
 loss_plans = st.builds(
     LossPlan,

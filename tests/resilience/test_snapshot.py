@@ -191,6 +191,24 @@ def test_divergent_restore_is_detected():
         restore(snap)
 
 
+def test_anchor_with_a_retired_kwarg_is_a_snapshot_error(tmp_path):
+    """A snapshot whose anchor names a kwarg the factory no longer takes
+    (older builds wrote ``engine=``) fails as a SnapshotError naming
+    the factory and the kwarg, not as a bare TypeError."""
+    kwargs = {"payload_len": 512}
+    system, graph = quickstart_run(**kwargs)
+    system.configure(graph)
+    assert not system.advance(200)
+    snap = capture(system, "repro.workloads:quickstart_run",
+                   {**kwargs, "engine": "fast"})
+    path = tmp_path / "old.snap.json"
+    snap.save(str(path))
+    with pytest.raises(SnapshotError) as exc:
+        restore(SystemSnapshot.load(str(path)))
+    assert "repro.workloads:quickstart_run" in str(exc.value)
+    assert "'engine'" in str(exc.value)
+
+
 def test_unverified_restore_skips_the_cross_check():
     kwargs = {"payload_len": 512}
     system, graph = quickstart_run(**kwargs)

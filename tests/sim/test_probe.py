@@ -1,7 +1,6 @@
 """Unit tests for statistics probes."""
 
 from repro.sim import Series, Simulator, TimeWeightedStat, UtilizationProbe
-from repro.sim.fastengine import FastSimulator
 
 
 def run_to(sim, t):
@@ -112,11 +111,11 @@ def test_series_empty_stats():
 
 
 # ---------------------------------------------------------------------------
-# probes under the fast engine's simulator
+# probes under the flattened run loop
 # ---------------------------------------------------------------------------
-def _drive_probes(sim_cls):
-    """One busy/idle/value scenario, parameterized over the simulator."""
-    sim = sim_cls()
+def _drive_probes():
+    """One busy/idle/value scenario driven through Simulator.run()."""
+    sim = Simulator()
     stat = TimeWeightedStat(sim, initial=0.0)
     util = UtilizationProbe(sim)
 
@@ -137,15 +136,16 @@ def _drive_probes(sim_cls):
             util.busy_cycles(), util.utilization(), sim.now)
 
 
-def test_probes_identical_under_fast_simulator():
-    assert _drive_probes(FastSimulator) == _drive_probes(Simulator)
+def test_probes_integrate_a_busy_idle_scenario():
+    # value 4 for 7 cycles, 6 for 13, 1 for 5; busy for 7 + 5 of 25
+    assert _drive_probes() == (111 / 25, 0.0, 6.0, 12, 12 / 25, 25)
 
 
 def test_probes_integrate_across_compressed_idle_window():
     """Time-weighted stats depend only on (value, elapsed) pairs, so a
-    single leap timeout over an idle window — how the fast engine
-    compresses deadlock-monitor polls — must integrate to exactly the
-    same area as the reference's poll-by-poll stepping."""
+    single leap timeout over an idle window — how the deadlock monitor
+    compresses its polls — must integrate to exactly the same area as
+    poll-by-poll stepping."""
     ref = Simulator()
     s_ref = TimeWeightedStat(ref, initial=3.0)
     u_ref = UtilizationProbe(ref)
@@ -159,7 +159,7 @@ def test_probes_integrate_across_compressed_idle_window():
     ref.process(stepper())
     ref.run()
 
-    fast = FastSimulator()
+    fast = Simulator()
     s_fast = TimeWeightedStat(fast, initial=3.0)
     u_fast = UtilizationProbe(fast)
 

@@ -188,6 +188,28 @@ def test_resume_of_empty_dir_fails_cleanly(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().err
 
 
+def test_resume_of_a_sweep_written_with_retired_kwargs_fails_cleanly(tmp_path, capsys):
+    """Checkpoint dirs written by builds whose CLI passed ``engine=``
+    to every run cannot be resumed: exit 2 with a one-line diagnosis
+    naming the kwarg, no traceback."""
+    from repro.resilience.supervisor import _sweep_digest
+
+    ckpt = tmp_path / "ckpt"
+    assert main(CONF_FAST + ["--checkpoint-dir", str(ckpt)]) == 0
+    capsys.readouterr()
+    sweep = json.loads((ckpt / "sweep.json").read_text())
+    for spec in sweep["specs"]:
+        spec["kwargs"]["engine"] = "reference"
+    sweep["digest"] = _sweep_digest(sweep["specs"])
+    (ckpt / "sweep.json").write_text(json.dumps(sweep))
+    with pytest.raises(SystemExit) as exc:
+        main(CONF_FAST + ["--resume", str(ckpt)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "'engine'" in err and "Traceback" not in err
+
+
 def test_checkpoint_interval_requires_a_directory(capsys):
     with pytest.raises(SystemExit) as exc:
         main(CONF_FAST + ["--checkpoint-interval", "256"])
@@ -229,7 +251,7 @@ def test_quickstart_obs_off_skips_history_compare(capsys):
 
 def test_quickstart_sample_interval_attaches_sampler(capsys):
     assert main(["quickstart", "--obs-level", "series",
-                 "--sample-interval", "200", "--engine", "fast"]) == 0
+                 "--sample-interval", "200"]) == 0
     out = capsys.readouterr().out
     assert "sampler:" in out and "interval=200" in out
 
