@@ -10,12 +10,14 @@ stresses the *same* graphs and the corpus stays comparable.
 ``from tests.conftest import diamond_graph, payload_of``.
 """
 
+import contextlib
 import random
 
 import pytest
 
 from repro.core import CoprocessorSpec, EclipseSystem, ShellParams, SystemParams
 from repro.kahn import FunctionalExecutor
+from repro.sim.kernel import Simulator
 
 # The canonical graphs/payloads live in repro.workloads (module-level so
 # the parallel runner can pickle run descriptions); re-exported here so
@@ -48,6 +50,30 @@ def run_on_system(graph, n_coprocs=3, params=None, shell=None, faults=None):
     system = make_system(n_coprocs=n_coprocs, params=params, shell=shell, faults=faults)
     system.configure(graph)
     return system.run()
+
+
+#: Deadlock-monitor modes for tests that must hold either way:
+#: ``"reference"`` steps the monitor poll by poll through every idle
+#: window; ``"fast"`` is the shipped monitor, which leaps a window in
+#: which the queue holds nothing but its own poll.
+MONITOR_MODES = ("reference", "fast")
+
+
+@contextlib.contextmanager
+def monitor_mode(mode):
+    """Run the enclosed block under one of :data:`MONITOR_MODES`.
+
+    ``"reference"`` makes the queue report one phantom pending event,
+    the condition under which the monitor must not compress, so it
+    steps every poll exactly as an uncompressed run would.
+    """
+    if mode not in MONITOR_MODES:
+        raise ValueError(f"unknown monitor mode {mode!r}")
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "reference":
+            pending = Simulator.pending_events
+            mp.setattr(Simulator, "pending_events", lambda sim: pending(sim) + 1)
+        yield
 
 
 def assert_histories_match(result, golden):
