@@ -17,9 +17,10 @@ It also writes the execution-core digest corpus
 ``tests/regression/test_engine_corpus.py``): a fixed grid of seeded
 conformance points pinned by the sha256 of their full result and
 state digest (or, for points that deadlock, the verdict cycle and the
-sha256 of the diagnosis text), the record-for-record operation log of
-the quickstart, and the state digests of a mid-run capture and its
-restore.
+sha256 of the diagnosis text), the record-for-record operation logs of
+the quickstart and of two faulted conformance runs, the state digests
+of a mid-run capture and its restore, and the sha256 of the
+Chrome-trace/Perfetto export of six span-traced runs.
 
 Regenerate (and commit the diff) only when a change is *supposed* to
 shift timing or histories — e.g. a scheduler or cache-model change —
@@ -173,6 +174,37 @@ CORPUS_PAYLOADS = (128, 288, 384, 528, 768)
 #: quickstart op-log and checkpoint points of the corpus
 CORPUS_OPLOG_PAYLOAD = 2048
 CORPUS_CHECKPOINT = ("repro.workloads:quickstart_run", {"payload_len": 4096}, 1000)
+#: faulted op-log points: their fabric records include PutSpaceMsgs the
+#: injector drops (both) and duplicates (chaos), and watchdog retries
+CORPUS_FAULTED_OPLOGS = {
+    "diamond_chaos": {"graph": "diamond", "fault_spec": "chaos", "fault_seed": 7},
+    "pipeline_drop": {"graph": "pipeline", "fault_spec": "drop", "fault_seed": 0},
+}
+#: span-traced runs pinned by their Perfetto export: name -> (factory,
+#: kwargs, tracer capacity, cycle of a mid-run checkpoint or None)
+CORPUS_PERFETTO = {
+    "quickstart_full": ("repro.workloads:quickstart_run", {"payload_len": 4096}, 100_000, None),
+    "quickstart_series": (
+        "repro.workloads:quickstart_run",
+        {"payload_len": 4096, "obs_level": "series"},
+        100_000,
+        None,
+    ),
+    "decode_run": ("repro.workloads:decode_run", {}, 100_000, None),
+    "stalled_pipeline_checkpoint": (
+        "repro.workloads:conformance_run",
+        {"graph": "pipeline", "payload_len": 512, "fault_spec": "stall=0.5,seed=3"},
+        100_000,
+        1500,
+    ),
+    "chaos_diamond": (
+        "repro.workloads:conformance_run",
+        {"graph": "diamond", "fault_spec": "chaos", "fault_seed": 7},
+        100_000,
+        None,
+    ),
+    "quickstart_ring16": ("repro.workloads:quickstart_run", {"payload_len": 4096}, 16, None),
+}
 
 
 def corpus_points():
@@ -225,23 +257,66 @@ def corpus_entry(kwargs: dict) -> dict:
     }
 
 
-def corpus_oplog() -> dict:
-    """Record-for-record digest of the quickstart's operation log."""
+def _oplog_digest(system) -> dict:
+    """Run a configured system under an op log; digest its records."""
     from dataclasses import astuple
 
     from repro.trace.oplog import OpLog
-    from repro.workloads import quickstart_run
 
-    system, graph = quickstart_run(payload_len=CORPUS_OPLOG_PAYLOAD)
-    system.configure(graph)
     log = OpLog(system, capacity=100_000)
     system.run()
     records = [astuple(r) for r in log.records]
     return {
-        "payload_len": CORPUS_OPLOG_PAYLOAD,
         "records": len(records),
         "dropped": log.dropped,
         "records_sha256": _sha256_json(records),
+    }
+
+
+def corpus_oplog() -> dict:
+    """Record-for-record digest of the quickstart's operation log."""
+    from repro.workloads import quickstart_run
+
+    system, graph = quickstart_run(payload_len=CORPUS_OPLOG_PAYLOAD)
+    system.configure(graph)
+    return {"payload_len": CORPUS_OPLOG_PAYLOAD, **_oplog_digest(system)}
+
+
+def corpus_faulted_oplog(name: str) -> dict:
+    """Record-for-record digest of a faulted conformance run's op log."""
+    from repro.workloads import conformance_run
+
+    kwargs = CORPUS_FAULTED_OPLOGS[name]
+    system, graph = conformance_run(**kwargs)
+    system.configure(graph)
+    entry = {"kwargs": kwargs, **_oplog_digest(system)}
+    stats = system.fault_injector.stats
+    entry["messages_dropped"] = stats.messages_dropped
+    entry["messages_duplicated"] = stats.messages_duplicated
+    return entry
+
+
+def corpus_perfetto(name: str) -> dict:
+    """sha256 of the canonical Chrome-trace export of a traced run."""
+    from repro.runner import resolve_factory
+
+    factory, kwargs, capacity, checkpoint = CORPUS_PERFETTO[name]
+    system, graph = resolve_factory(factory)(**kwargs)
+    system.configure(graph)
+    tracer = system.attach_tracer(capacity=capacity)
+    if checkpoint is not None:
+        system.advance(checkpoint)
+        system.export_state()
+    system.run()
+    trace = tracer.to_chrome_trace()
+    return {
+        "factory": factory,
+        "kwargs": kwargs,
+        "capacity": capacity,
+        "checkpoint": checkpoint,
+        "events": len(trace["traceEvents"]),
+        "dropped": tracer.dropped,
+        "trace_sha256": _sha256_json(trace),
     }
 
 
@@ -269,7 +344,9 @@ def build_corpus() -> dict:
     return {
         "points": [corpus_entry(kw) for kw in corpus_points()],
         "oplog": corpus_oplog(),
+        "oplog_faulted": {n: corpus_faulted_oplog(n) for n in CORPUS_FAULTED_OPLOGS},
         "checkpoint": corpus_checkpoint(),
+        "perfetto": {n: corpus_perfetto(n) for n in CORPUS_PERFETTO},
     }
 
 
@@ -280,6 +357,13 @@ def write_corpus(corpus: dict, path: str) -> None:
         fh.write(json.dumps(corpus["checkpoint"], sort_keys=True))
         fh.write(',\n  "oplog": ')
         fh.write(json.dumps(corpus["oplog"], sort_keys=True))
+        for section in ("oplog_faulted", "perfetto"):
+            fh.write(f',\n  "{section}": {{\n')
+            fh.write(",\n".join(
+                f"    {json.dumps(n)}: {json.dumps(e, sort_keys=True)}"
+                for n, e in sorted(corpus[section].items())
+            ))
+            fh.write("\n  }")
         fh.write(',\n  "points": [\n')
         fh.write(",\n".join(
             "    " + json.dumps(p, sort_keys=True) for p in corpus["points"]

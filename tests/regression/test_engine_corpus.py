@@ -5,8 +5,10 @@ points (graph x fault plan x fault seed x coprocessor count x payload),
 each by the sha256 of its full ``SystemResult`` (histories included)
 and its state digest — or, for points that deadlock, by the verdict
 cycle and the sha256 of the diagnosis text.  It also pins the
-quickstart's operation log record for record and the state digests of
-a mid-run capture and its restore.  Any change to the event schedule,
+operation logs of the quickstart and of two faulted conformance runs
+record for record, the state digests of a mid-run capture and its
+restore, and the Chrome-trace/Perfetto export of six span-traced runs
+byte for byte.  Any change to the event schedule,
 a counter, a history byte or a deadlock diagnosis shows up here as the
 list of grid points it moved.
 
@@ -20,9 +22,13 @@ import json
 import pytest
 
 from tests.regression.regen_golden import (
+    CORPUS_FAULTED_OPLOGS,
+    CORPUS_PERFETTO,
     corpus_checkpoint,
     corpus_entry,
+    corpus_faulted_oplog,
     corpus_oplog,
+    corpus_perfetto,
     corpus_points,
     golden_path,
 )
@@ -82,6 +88,18 @@ def test_every_corpus_point_reproduces(corpus):
 
 def test_quickstart_oplog_reproduces(corpus):
     assert corpus_oplog() == corpus["oplog"]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_FAULTED_OPLOGS))
+def test_faulted_oplog_reproduces(corpus, name):
+    entry = corpus["oplog_faulted"][name]
+    assert entry["messages_dropped"] > 0
+    assert corpus_faulted_oplog(name) == entry
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_PERFETTO))
+def test_perfetto_export_reproduces(corpus, name):
+    assert corpus_perfetto(name) == corpus["perfetto"][name]
 
 
 def test_checkpoint_capture_and_restore_reproduce(corpus):
