@@ -178,6 +178,9 @@ class EclipseSystem:
         #: observers attached via attach_sampler()/attach_tracer()
         self.sampler = None
         self.tracer = None
+        #: the one instrumentation point (repro.obs.probe.Probe) the
+        #: tracer and op log feed from; None until one attaches
+        self.probe = None
         self.specs: Dict[str, CoprocessorSpec] = {c.name: c for c in coprocessors}
         self.sim = Simulator()
         self.sram = OnChipMemory(self.params.sram_size)

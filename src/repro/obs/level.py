@@ -104,7 +104,7 @@ class ObservabilityLevel(enum.IntEnum):
 
     @property
     def oplog(self) -> bool:
-        """Allow the OpLog to wrap the primitives and record ops."""
+        """Allow the OpLog to attach (via the probe) and record ops."""
         return self >= ObservabilityLevel.FULL
 
 

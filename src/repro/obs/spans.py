@@ -1,20 +1,21 @@
-"""System-independent span recording for the service layers.
+"""The one span type: bounded span recording with Chrome-trace export.
 
-:class:`repro.obs.tracer.SpanTracer` instruments a *configured
-simulation*: it wraps coprocessor and bus methods, and its timestamps
-are simulated cycles.  The layers above the simulator — the parallel
-runner, the resilience supervisor, and the sweep service — also want
-structured timelines (queue-wait windows, execution spans, cache
-events), but they have no system to wrap and their natural clock is
-the wall clock.  :class:`SpanRecorder` is the tracer's free-standing
-sibling: the same :class:`~repro.obs.tracer.SpanEvent` records, the
-same bounded ring buffer, the same Chrome-trace/Perfetto export — but
-driven explicitly by the caller, with an injectable clock.
+:class:`SpanRecorder` holds :class:`SpanEvent` records — spans and
+instant events — in a bounded ring buffer (oldest dropped and counted)
+and exports them in the Chrome trace-event JSON format that
+``ui.perfetto.dev`` (or ``chrome://tracing``) loads directly.  It is
+driven explicitly by the caller, on an injectable clock:
 
-Because these spans carry wall-clock timestamps they are observability
-only: they must never leak into a cached result payload or any other
-byte-compared artifact (the same rule the runner's ``include_timing``
-switch enforces for its report).
+* the layers above the simulator — the parallel runner, the resilience
+  supervisor, the sweep service, network ingest — record queue-wait
+  windows, execution spans and cache events on the wall clock (or the
+  ingest's tick clock);
+* :class:`repro.obs.tracer.SpanTracer` is a recorder on the simulator
+  clock, fed by the system's :class:`repro.obs.probe.Probe`.
+
+Wall-clock spans are observability only: they must never leak into a
+cached result payload or any other byte-compared artifact (the same
+rule the runner's ``include_timing`` switch enforces for its report).
 
 Thread model: the caller names its threads (``recorder.thread("queue")``,
 ``recorder.thread("worker-0")``); tids are handed out in first-use
@@ -28,19 +29,64 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.obs.tracer import SpanEvent
+__all__ = ["SpanEvent", "SpanRecorder", "CHROME_TRACE_SCHEMA"]
 
-__all__ = ["SpanRecorder"]
+#: The subset of the Chrome trace-event format the exporter emits and
+#: the ``repro verify`` trace lint checks.  ``ph`` phases: "X" complete
+#: span (has ``dur``), "i" instant, "B" span opened but never closed
+#: (surfaced for the O301 lint), "M" metadata (process/thread names).
+CHROME_TRACE_SCHEMA = {
+    "container_key": "traceEvents",
+    "phases": ("X", "i", "B", "M"),
+    "required": {
+        "X": ("name", "cat", "ph", "ts", "dur", "pid", "tid"),
+        "i": ("name", "cat", "ph", "ts", "pid", "tid", "s"),
+        "B": ("name", "cat", "ph", "ts", "pid", "tid"),
+        "M": ("name", "ph", "pid", "args"),
+    },
+}
+
+
+@dataclass(eq=False)  # identity equality: two open spans may look alike
+class SpanEvent:
+    """One recorded trace event (a span or an instant)."""
+
+    name: str
+    cat: str
+    ph: str  # "X" complete span, "i" instant, "B" unclosed open
+    ts: int  # start, in clock units
+    tid: int
+    dur: Optional[int] = None  # spans only
+    args: Dict[str, object] = field(default_factory=dict)
+
+    def to_chrome(self, pid: int = 1) -> dict:
+        ev = {
+            "name": self.name,
+            "cat": self.cat,
+            "ph": self.ph,
+            "ts": self.ts,
+            "pid": pid,
+            "tid": self.tid,
+        }
+        if self.ph == "X":
+            ev["dur"] = self.dur if self.dur is not None else 0
+        if self.ph == "i":
+            ev["s"] = "t"  # thread-scoped instant
+        if self.args:
+            ev["args"] = dict(sorted(self.args.items()))
+        return ev
 
 
 class SpanRecorder:
     """Bounded-memory span/instant recorder with Chrome-trace export.
 
-    ``clock`` returns integer microseconds; the default is monotonic
-    wall time since the recorder was created.  Tests inject a
-    deterministic clock to make exports comparable.
+    ``clock`` returns integer timestamps; the default is monotonic wall
+    time in microseconds since the recorder was created.  The span
+    tracer injects the simulator clock (cycles), tests a deterministic
+    one to make exports comparable.
     """
 
     def __init__(
@@ -93,7 +139,7 @@ class SpanRecorder:
         return span
 
     def end(self, span: SpanEvent, **args) -> None:
-        self.open_spans.remove(span)
+        self.open_spans.remove(span)  # by identity: SpanEvent has eq=False
         span.ph = "X"
         span.dur = max(0, self.now() - span.ts)
         span.args.update(args)
@@ -116,9 +162,10 @@ class SpanRecorder:
             self.end(s)
 
     # ------------------------------------------------------------------
-    # export (same shape as SpanTracer: summary + Chrome trace JSON)
+    # export: summary + Chrome trace JSON
     # ------------------------------------------------------------------
     def summary(self) -> dict:
+        """Deterministic counts: per-category events, drops, opens."""
         by_cat: Dict[str, int] = {}
         for ev in self.events:
             by_cat[ev.cat] = by_cat.get(ev.cat, 0) + 1
@@ -130,39 +177,33 @@ class SpanRecorder:
             "by_category": dict(sorted(by_cat.items())),
         }
 
+    def _other_data(self) -> dict:
+        """The export's ``otherData`` header besides the drop counts."""
+        return {"process": self.process_name}
+
     def to_chrome_trace(self) -> dict:
+        """The recording as a Chrome trace-event JSON object.  Open
+        (never-closed) spans are exported as "B" events so they are
+        visible in Perfetto *and* flaggable by the O301 lint."""
         pid = 1
         events: List[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "args": {"name": self.process_name},
-            }
+            {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": self.process_name}}
         ]
-        for tname, tid in sorted(self.tids.items(), key=lambda kv: kv[1]):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": tname},
-                }
-            )
+        events.extend(
+            {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid, "args": {"name": tname}}
+            for tname, tid in sorted(self.tids.items(), key=lambda kv: kv[1])
+        )
         events.extend(ev.to_chrome(pid) for ev in self.events)
         events.extend(ev.to_chrome(pid) for ev in self.open_spans)
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
-            "otherData": {
-                "process": self.process_name,
-                "dropped": self.dropped,
-                "total": self.total,
-            },
+            "otherData": {**self._other_data(), "dropped": self.dropped, "total": self.total},
         }
 
     def write(self, path: str) -> None:
+        """Write the Chrome-trace JSON to ``path`` (canonical form:
+        sorted keys, 1-space separators — byte-stable across runs)."""
         with open(path, "w") as fh:
             json.dump(self.to_chrome_trace(), fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -3,18 +3,23 @@
 The §7 simulator was a *design tool*: when a run misbehaves, designers
 need to see exactly which primitive each coprocessor issued when.
 :class:`OpLog` attaches to a configured system and records every
-GetTask/GetSpace/Read/Write/PutSpace/compute/external access and every
-fabric message as ``(time, unit, task, kind, detail)`` records, with an
-optional filter and a bounded buffer (oldest records dropped).
+processing step (begin and outcome), every GetSpace/PutSpace with its
+verdict and every fabric message as ``(time, unit, task, kind,
+detail)`` records, with an optional filter and a bounded buffer
+(oldest records dropped).
 
-Zero cost when not attached; deterministic (pure observation).
+It is a consumer of the system's :class:`repro.obs.probe.Probe`, the
+one instrumentation point it shares with the span tracer.  Zero cost
+when not attached; deterministic (pure observation).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, List, Optional, TYPE_CHECKING
+from typing import Callable, Deque, List, Optional, TYPE_CHECKING
+
+from repro.obs.probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import EclipseSystem
@@ -49,7 +54,7 @@ class OpLog:
             raise ValueError("capacity must be >= 1")
         if not system.coprocessors:
             raise RuntimeError(
-                "attach the OpLog after EclipseSystem.configure() — it wraps "
+                "attach the OpLog after EclipseSystem.configure() — it observes "
                 "the running coprocessors, which do not exist yet"
             )
         if not system.obs.oplog:
@@ -64,7 +69,7 @@ class OpLog:
         self.records: Deque[OpRecord] = deque(maxlen=capacity)
         self.dropped = 0
         self.total = 0
-        self._install()
+        Probe.attach(system, self)
 
     # ------------------------------------------------------------------
     def _emit(self, unit: str, task: str, kind: str, detail: str) -> None:
@@ -76,45 +81,23 @@ class OpLog:
             self.dropped += 1
         self.records.append(rec)
 
-    def _install(self) -> None:
-        for cname, coproc in self.system.coprocessors.items():
-            self._wrap_coprocessor(cname, coproc)
-        fabric = self.system.fabric
-        original_send = fabric.send
+    # probe events
+    def on_step_begin(self, cname, row) -> None:
+        self._emit(cname, row.name, "step", "begin")
 
-        def send(dest, msg, _orig=original_send):
-            self._emit("fabric", "-", type(msg).__name__, f"-> {dest.name} {msg}")
-            _orig(dest, msg)
+    def on_step_end(self, cname, row, outcome) -> None:
+        self._emit(cname, row.name, "step", f"end:{outcome.value}")
 
-        fabric.send = send  # type: ignore[method-assign]
+    def on_space_end(self, cname, prim, task, port, n, result) -> None:
+        detail = f"{port}:{n}"
+        if prim == "get_space":
+            detail += f" -> {'grant' if result else 'DENY'}"
+            if getattr(result, "eos", False):
+                detail += "(eos)"
+        self._emit(cname, task.name, prim, detail)
 
-    def _wrap_coprocessor(self, cname: str, coproc) -> None:
-        original = coproc._run_step
-
-        log = self._emit
-
-        def run_step(row, _orig=original):
-            log(cname, row.name, "step", "begin")
-            outcome = yield from _orig(row)
-            log(cname, row.name, "step", f"end:{outcome.value}")
-            return outcome
-
-        coproc._run_step = run_step  # type: ignore[method-assign]
-        shell = coproc.shell
-        for name in ("get_space", "put_space"):
-            original_prim = getattr(shell, name)
-
-            def prim(task, port, n, _orig=original_prim, _name=name):
-                result = yield from _orig(task, port, n)
-                detail = f"{port}:{n}"
-                if _name == "get_space":
-                    detail += f" -> {'grant' if result else 'DENY'}"
-                    if getattr(result, "eos", False):
-                        detail += "(eos)"
-                log(cname, task.name, _name, detail)
-                return result
-
-            setattr(shell, name, prim)
+    def on_send(self, dest, msg) -> None:
+        self._emit("fabric", "-", type(msg).__name__, f"-> {dest.name} {msg}")
 
     # ------------------------------------------------------------------
     def filter(self, kind: Optional[str] = None, task: Optional[str] = None) -> List[OpRecord]:
@@ -130,7 +113,7 @@ class OpLog:
 
 def render_oplog(log: OpLog, last: int = 40) -> str:
     """The tail of the trace, one op per line."""
-    records = list(log.records)[-last:]
+    records = list(log.records)[-last:] if last > 0 else []
     header = (
         f"op log: showing {len(records)} of {log.total} records "
         f"({log.dropped} dropped by the ring buffer)"

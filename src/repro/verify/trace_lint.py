@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from repro.obs.tracer import CHROME_TRACE_SCHEMA
+from repro.obs.spans import CHROME_TRACE_SCHEMA
 from repro.verify.diagnostics import Diagnostic, Report
 
 __all__ = ["lint_chrome_trace", "lint_trace_file"]

@@ -66,6 +66,9 @@ def test_oplog_render():
     assert "op log:" in lines[0]
     assert len(lines) == 11
     assert "get_space" in out or "put_space" in out or "step" in out
+    assert render_oplog(log, last=0).splitlines() == [
+        f"op log: showing 0 of {log.total} records (0 dropped by the ring buffer)"
+    ]
 
 
 def test_oplog_requires_configured_system():
