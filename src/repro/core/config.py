@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Literal, Optional
 
+from repro.sim.kernel import require_int
+
 __all__ = ["ShellParams", "CoprocessorSpec", "SystemParams"]
 
 
@@ -22,6 +24,15 @@ def _from_flat_dict(cls, data: dict):
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     return cls(**data)
+
+
+def _check_ints(params) -> None:
+    """Reject non-``int`` values (``bool`` included) in the ``int``
+    fields: cycle counts become process holds, which take only ints."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "int" or (f.type == "Optional[int]" and value is not None):
+            require_int(f"{type(params).__name__}.{f.name}", value)
 
 
 @dataclass
@@ -55,6 +66,7 @@ class ShellParams:
     best_guess_scheduling: bool = True
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         if self.cache_line < 1 or (self.cache_line & (self.cache_line - 1)) != 0:
             raise ValueError(f"cache_line must be a power of two, got {self.cache_line}")
         for name in ("read_cache_lines", "write_cache_lines", "port_width"):
@@ -177,6 +189,7 @@ class SystemParams:
     sample_interval: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         if self.sram_size < 1:
             raise ValueError("sram_size must be >= 1")
         if self.bus_width < 1:

@@ -23,6 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.system import EclipseSystem
 from repro.core.task_table import TaskRow
+from repro.sim.kernel import require_int
 
 __all__ = ["ControlInterface", "QosController"]
 
@@ -113,6 +114,7 @@ class QosController:
         min_budget: int = 500,
         max_budget: int = 8000,
     ):
+        require_int("QosController interval", interval)
         if interval < 1:
             raise ValueError("interval must be >= 1")
         if not (1 <= min_budget <= max_budget):
@@ -149,4 +151,4 @@ class QosController:
             if all(not c.is_alive for c in self.system.coprocessors.values()):
                 return
             self._rebalance_once()
-            yield self.system.sim.timeout(self.interval)
+            yield self.interval

@@ -119,7 +119,7 @@ class Shell:
         idles until a putspace/eos message makes one runnable again.
         """
         self.gettask_ops += 1
-        yield self.sim.timeout(self.params.gettask_cycles)
+        yield self.params.gettask_cycles
         while True:
             verdict, row = self.scheduler.select(elapsed)
             elapsed = 0  # charged exactly once
@@ -136,7 +136,7 @@ class Shell:
     # ------------------------------------------------------------------
     def get_space(self, task: TaskRow, port: str, n_bytes: int) -> Generator:
         self.getspace_ops += 1
-        yield self.sim.timeout(self.params.getspace_cycles)
+        yield self.params.getspace_cycles
         if self.system._central_cpu is not None:
             yield from self.system.central_sync_cost()
         row_id = task.port_rows[port]
@@ -185,7 +185,7 @@ class Shell:
         if n_bytes == 0:
             return b""
         # datapath transfer time coprocessor<->shell
-        yield self.sim.timeout(_ceil_div(n_bytes, self.params.port_width))
+        yield _ceil_div(n_bytes, self.params.port_width)
         t0 = self.sim.now
         out = bytearray(n_bytes)
         line_size = self.params.cache_line
@@ -307,7 +307,7 @@ class Shell:
             )
         if not data:
             return
-        yield self.sim.timeout(_ceil_div(len(data), self.params.port_width))
+        yield _ceil_div(len(data), self.params.port_width)
         pos = 0
         for seg_addr, seg_len in row.buffer.segments(row.position + offset, len(data)):
             evicted = self.write_cache.write(seg_addr, data[pos : pos + seg_len])
@@ -324,7 +324,7 @@ class Shell:
     # ------------------------------------------------------------------
     def put_space(self, task: TaskRow, port: str, n_bytes: int) -> Generator:
         self.putspace_ops += 1
-        yield self.sim.timeout(self.params.putspace_cycles)
+        yield self.params.putspace_cycles
         if self.system._central_cpu is not None:
             yield from self.system.central_sync_cost()
         row = self.stream_table[task.port_rows[port]]
@@ -447,7 +447,7 @@ class Shell:
         policy = ExponentialBackoff(timeout, backoff, timeout * max_backoff)
         last = self._progress_snapshot()
         while not self.system.all_finished():
-            yield self.sim.timeout(policy.current)
+            yield policy.current
             if self.system.all_finished():
                 return
             cur = self._progress_snapshot()

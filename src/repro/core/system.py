@@ -279,7 +279,7 @@ class EclipseSystem:
             return
         grant = self._central_cpu.request()
         yield grant
-        yield self.sim.timeout(self.params.central_sync_cycles)
+        yield self.params.central_sync_cycles
         self._central_cpu.release(grant)
         self.cpu_sync_ops += 1
         self.cpu_busy_cycles += self.params.central_sync_cycles
@@ -444,9 +444,9 @@ class EclipseSystem:
         while not self.all_finished():
             if self.sim.pending_events() == 0:
                 # Idle-window compression: the queue holds nothing but
-                # this monitor's yet-to-be-scheduled timeouts, so no
+                # this monitor's yet-to-be-scheduled holds, so no
                 # event can ever change progress again and the remaining
-                # polls are a deterministic replay.  Leap in ONE timeout
+                # polls are a deterministic replay.  Leap in ONE hold
                 # to the exact cycle poll-by-poll stepping would declare
                 # deadlock at: `patience - idle_checks` more idle polls
                 # — plus one extra poll if progress moved since the last
@@ -456,7 +456,7 @@ class EclipseSystem:
                 # the boundary, forcing poll-by-poll stepping.
                 cur = self._global_progress()
                 leaps = 1 + patience if cur != last else patience - idle_checks
-                yield self.sim.timeout(leaps * interval)
+                yield leaps * interval
                 report = self.blocked_report()
                 raise DeadlockError(
                     f"deadlock detected at t={self.sim.now}: no progress for "
@@ -464,7 +464,7 @@ class EclipseSystem:
                     f"{self._unfinished_tasks} unfinished task(s)\n{report}",
                     report,
                 )
-            yield self.sim.timeout(interval)
+            yield interval
             if self.all_finished():
                 return
             cur = self._global_progress()

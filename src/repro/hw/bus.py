@@ -9,10 +9,11 @@ with single-outstanding-transaction masters (our shells) FIFO equals
 round-robin fairness.
 
 The arbiter is a busy flag plus a (priority, seq)-sorted wait list.
-Even an uncontended request round-trips through a grant event at the
-current (time, priority): granting synchronously would shift the
-sequence numbers of same-cycle events, which the model's wait counters
-observe.
+Even an uncontended request round-trips through the event queue at the
+current (time, priority), as a ``yield 0`` hold: granting synchronously
+would shift the sequence numbers of same-cycle events, which the
+model's wait counters observe.  A grant event is built only for a
+request that has to queue.
 
 The same class models the off-chip system-bus port used by the MC/ME
 and VLD coprocessors, with a larger setup latency (DRAM access).
@@ -20,11 +21,11 @@ and VLD coprocessors, with a larger setup latency (DRAM access).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Tuple
 
 from repro.sim import Event, Simulator
-from repro.sim.events import Timeout
 
 __all__ = ["Bus", "BusStats"]
 
@@ -71,7 +72,8 @@ class Bus:
         self.setup_latency = setup_latency
         self._busy = False
         #: (priority, seq, grant event), kept sorted: lower priority
-        #: value first, FIFO among equals
+        #: value first, FIFO among equals (seq is unique, so the sort
+        #: never compares events)
         self._waiting: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self.stats = BusStats()
@@ -93,23 +95,19 @@ class Bus:
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
         sim = self.sim
         t_request = sim.now
-        grant = Event(sim)
         waiting = self._waiting
         if not self._busy and not waiting:
             self._busy = True
-            grant.succeed(None)
+            yield 0
         else:
             self._seq += 1
-            entry = (priority, self._seq, grant)
-            idx = len(waiting)
-            while idx > 0 and waiting[idx - 1][:2] > entry[:2]:
-                idx -= 1
-            waiting.insert(idx, entry)
-        yield grant
+            grant = Event(sim)
+            insort(waiting, (priority, self._seq, grant))
+            yield grant
         stats = self.stats
         stats.wait_cycles += sim.now - t_request
         cycles = self.occupancy_cycles(n_bytes)
-        yield Timeout(sim, cycles)
+        yield cycles
         # release: hand the bus straight to the next waiter
         if waiting:
             waiting.pop(0)[2].succeed(None)

@@ -329,6 +329,10 @@ class KernelContext:
     def external_access(
         self, n_bytes: int, is_write: bool = False, posted: bool = False
     ) -> ExternalAccessOp:
+        if not isinstance(n_bytes, int) or isinstance(n_bytes, bool):
+            # the cycle executor turns the size into a bus hold, which
+            # takes only ints
+            raise ValueError(f"external_access n_bytes must be an int, got {n_bytes!r}")
         if n_bytes < 0:
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
         if posted and not is_write:

@@ -12,7 +12,9 @@ Key classes
 ``Event`` / ``Timeout`` / ``AllOf`` / ``AnyOf``
     One-shot occurrences that processes wait on.
 ``Process``
-    A generator that yields events; resumed when they fire.
+    A generator that yields events, resumed when they fire, or a bare
+    ``int`` n to hold for n cycles (the same schedule as
+    ``yield sim.timeout(n)``, without allocating an event).
 ``Resource`` / ``Store``
     Queued mutual exclusion (the centralized sync CPU) and
     producer/consumer hand-off.

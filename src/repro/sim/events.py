@@ -16,7 +16,7 @@ leap the clock over an idle window only when the event queue is
 (watchdog timeout, sampler tick, fault injection) therefore pins a
 compression boundary simply by being scheduled.  Nothing here needs to
 cooperate beyond the existing rule that every future occurrence lives
-on the queue as an event.
+on the queue, as an event or as a holding process's wake token.
 """
 
 from __future__ import annotations

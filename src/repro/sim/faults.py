@@ -29,6 +29,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.kernel import require_int
+
 __all__ = [
     "FaultPlan",
     "FaultInjector",
@@ -195,6 +197,8 @@ class StallSpec:
     cycles: int
 
     def __post_init__(self) -> None:
+        require_int("StallSpec.at_cycle", self.at_cycle)
+        require_int("StallSpec.cycles", self.cycles)
         if self.at_cycle < 0:
             raise ValueError(f"at_cycle must be >= 0, got {self.at_cycle}")
         if self.cycles < 1:

@@ -7,7 +7,7 @@ callbacks in (time, priority, insertion) order and advances the clock.
 The hot paths are flattened for host speed: :meth:`Simulator.run` pops
 and fires events in one frame, with Python's cyclic garbage collector
 parked while it loops, and the event factories bind their classes at
-module level.  Two invariants keep that — and every other host-speed
+module level.  Three invariants keep that — and every other host-speed
 shortcut in the model — invisible in the results, because the model's
 counters (``wait_cycles``, ``idle_wait_cycles``, fill statistics)
 encode the event schedule itself:
@@ -23,9 +23,17 @@ encode the event schedule itself:
    good and the verdict cycle is computable in closed form.  Any other
    pending event — a watchdog retry, a fault stall, a sampler tick —
    pins the boundary, because its callbacks can schedule new work.
+3. **A hold is a timeout, event for event.**  A process that yields a
+   bare ``int`` n holds for n cycles: ``Process._step`` pushes its
+   reusable wake token at (now + n, ``PRIORITY_NORMAL``, next seq) —
+   exactly the entry ``yield sim.timeout(n)`` would push, so the two
+   spellings give the same schedule; the hold just allocates nothing.
+   The model's hot paths hold this way; ``Timeout`` remains for
+   composite waits (``AllOf``/``AnyOf``) and user code.
 
-``tests/regression/test_engine_corpus.py`` holds the kernel to both:
-a frozen corpus of result, state, op-log and deadlock digests.
+``tests/regression/test_engine_corpus.py`` holds the kernel to all
+three: a frozen corpus of result, state, op-log and deadlock digests;
+``tests/sim/test_holds.py`` checks invariant 3 differentially.
 """
 
 from __future__ import annotations
@@ -34,7 +42,13 @@ import gc
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
-__all__ = ["Simulator", "SimulationError", "PRIORITY_URGENT", "PRIORITY_NORMAL"]
+__all__ = [
+    "Simulator",
+    "SimulationError",
+    "PRIORITY_URGENT",
+    "PRIORITY_NORMAL",
+    "require_int",
+]
 
 #: Priority for events that must fire before same-time normal events
 #: (e.g. process resumption after an interrupt).
@@ -45,6 +59,15 @@ PRIORITY_NORMAL = 1
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (time travel, re-triggering events...)."""
+
+
+def require_int(what: str, value: Any) -> None:
+    """Raise ``ValueError`` naming *what* unless *value* is an ``int``
+    (``bool`` excluded).  Configuration that becomes a process hold
+    checks its cycle counts with this at construction: a hold takes
+    only ints, so a float would otherwise fail mid-run."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
 
 
 class Simulator:
@@ -89,7 +112,8 @@ class Simulator:
         """Enqueue *event* to fire ``delay`` cycles from now.
 
         ``event`` must expose a ``_fire()`` method (all events in
-        :mod:`repro.sim.events` do).  Ties at identical (time, priority)
+        :mod:`repro.sim.events` do, and so does a process's wake
+        token).  Ties at identical (time, priority)
         are broken by insertion order for determinism.
         """
         if delay < 0:

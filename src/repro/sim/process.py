@@ -1,9 +1,16 @@
 """Generator-driven processes.
 
-A process wraps a Python generator.  The generator yields
-:class:`~repro.sim.events.Event` instances; the process subscribes to
-each yielded event and resumes the generator with the event's value
-when it fires (or throws the event's exception into the generator).
+A process wraps a Python generator.  The generator yields either an
+:class:`~repro.sim.events.Event` or a bare ``int``:
+
+* ``yield event`` subscribes to the event and resumes the generator
+  with its value when it fires (or throws its exception into the
+  generator);
+* ``yield n`` (a non-negative ``int``, not a ``bool``) holds the
+  process for ``n`` cycles.  It pushes exactly the queue entry
+  ``yield sim.timeout(n)`` would push — time ``now + n``,
+  ``PRIORITY_NORMAL``, the next sequence number — but the entry is the
+  process's own reusable wake token, so a hold allocates no event.
 
 A ``Process`` is itself an :class:`Event` that fires when the generator
 returns — so processes can wait on each other, join-style.
@@ -11,15 +18,42 @@ returns — so processes can wait on each other, join-style.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.sim.events import Event, Interrupt
-from repro.sim.kernel import PRIORITY_URGENT, SimulationError
+from repro.sim.kernel import PRIORITY_NORMAL, PRIORITY_URGENT, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 __all__ = ["Process"]
+
+
+class _Wake:
+    """A process's queue entry for its start and its ``yield n`` holds.
+
+    Firing it resumes the process with ``None``.  One token serves
+    every hold of a process; an interrupt retires the queued token
+    (``process = None``) so that it fires inert.  The process drops its
+    token when the generator ends, so a finished process is reclaimed
+    by reference counting alone while ``run()`` has the cyclic
+    collector parked.
+    """
+
+    __slots__ = ("process",)
+    # read by Process._step like an event's outcome: always "succeeded
+    # with None"
+    _value = None
+    _exc = None
+
+    def __init__(self, process: "Process"):
+        self.process = process
+
+    def _fire(self) -> None:
+        process = self.process
+        if process is not None:
+            process._step(self)
 
 
 class Process(Event):
@@ -43,7 +77,7 @@ class Process(Event):
     >>> sim.run()
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "_waiting_on", "_wake", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -52,11 +86,10 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Kick off via an initialisation event so the body runs inside
-        # the event loop, not inside the constructor.
-        init = Event(sim)
-        init.callbacks.append(self._resume)
-        init.succeed(None, priority=PRIORITY_URGENT)
+        # Kick off via the wake token so the body runs inside the event
+        # loop, not inside the constructor.
+        self._wake: Optional[_Wake] = _Wake(self)
+        sim.schedule(self._wake, 0, PRIORITY_URGENT)
 
     # -- introspection ----------------------------------------------------
     @property
@@ -83,7 +116,11 @@ class Process(Event):
         if not self.is_alive:
             return  # finished before delivery
         target = self._waiting_on
-        if target is not None and target.callbacks is not None:
+        if target is None:
+            # a hold (or the start): the queued token must fire inert
+            self._wake.process = None
+            self._wake = _Wake(self)
+        elif target.callbacks is not None:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:  # pragma: no cover - defensive
@@ -96,7 +133,7 @@ class Process(Event):
         self._waiting_on = None
         self._step(event)
 
-    def _step(self, event: Event) -> None:
+    def _step(self, event: Any) -> None:
         try:
             exc = event._exc
             if exc is not None:
@@ -105,18 +142,28 @@ class Process(Event):
             else:
                 target = self._generator.send(event._value)
         except StopIteration as stop:
+            self._wake = None
             self.succeed(stop.value, priority=PRIORITY_URGENT)
             return
-        except Interrupt as iexc:
-            # Process let an interrupt escape: treat as failure.
-            self.fail(iexc, priority=PRIORITY_URGENT)
-            return
         except Exception as gexc:
+            # an escaped Interrupt fails the process like any error
+            self._wake = None
             self.fail(gexc, priority=PRIORITY_URGENT)
+            return
+        if type(target) is int:
+            # a hold: the entry sim.timeout(target) would schedule
+            if target < 0:
+                raise SimulationError(
+                    f"process {self.name!r} yielded negative timeout {target}"
+                )
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._queue, (sim._now + target, PRIORITY_NORMAL, seq, self._wake))
             return
         if not isinstance(target, Event):
             raise SimulationError(
-                f"process {self.name!r} yielded {type(target).__name__}, expected Event"
+                f"process {self.name!r} yielded {type(target).__name__}, "
+                "expected Event or int cycles"
             )
         if target is self:
             raise SimulationError(f"process {self.name!r} waited on itself")

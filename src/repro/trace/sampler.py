@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, Tuple, TYPE_CHECKING
 
 from repro.sim import Series
+from repro.sim.kernel import require_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import EclipseSystem
@@ -38,6 +39,7 @@ class Sampler:
     """
 
     def __init__(self, system: "EclipseSystem", interval: int = 500):
+        require_int("Sampler interval", interval)
         if interval < 1:
             raise ValueError(f"interval must be >= 1, got {interval}")
         if not system.coprocessors:
@@ -102,7 +104,7 @@ class Sampler:
             self._sample_once()
             if all(not c.is_alive for c in self.system.coprocessors.values()):
                 return
-            yield self.system.sim.timeout(self.interval)
+            yield self.interval
 
     # ------------------------------------------------------------------
     # analysis helpers

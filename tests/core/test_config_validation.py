@@ -17,6 +17,10 @@ def test_shell_params_validation():
         ShellParams(read_cache_lines=0)
     with pytest.raises(ValueError):
         ShellParams(prefetch_lines=-1)
+    with pytest.raises(ValueError, match="ShellParams.getspace_cycles must be an int, got 1.5"):
+        ShellParams(getspace_cycles=1.5)
+    with pytest.raises(ValueError, match="ShellParams.port_width must be an int, got True"):
+        ShellParams(port_width=True)
     p = ShellParams()
     q = p.with_(prefetch_lines=5)
     assert q.prefetch_lines == 5 and p.prefetch_lines != 5  # copy
@@ -35,6 +39,11 @@ def test_system_params_validation():
         SystemParams(sync_mode="votes")
     with pytest.raises(ValueError, match="coherency"):
         SystemParams(coherency="magic")
+    with pytest.raises(ValueError, match="SystemParams.bus_setup_latency must be an int"):
+        SystemParams(bus_setup_latency=2.0)
+    with pytest.raises(ValueError, match="SystemParams.watchdog_timeout must be an int"):
+        SystemParams(watchdog_timeout="2000")
+    assert SystemParams(watchdog_timeout=None).watchdog_timeout is None
     assert SystemParams().with_(bus_width=32).bus_width == 32
 
 

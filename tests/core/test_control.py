@@ -118,5 +118,7 @@ def test_qos_validates_params():
     system = make_system()
     with pytest.raises(ValueError):
         QosController(system, interval=0)
+    with pytest.raises(ValueError, match="QosController interval must be an int"):
+        QosController(system, interval=500.0)
     with pytest.raises(ValueError):
         QosController(system, min_budget=100, max_budget=50)

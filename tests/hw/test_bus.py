@@ -68,6 +68,57 @@ def test_priority_preempts_queue_order():
     assert done == ["high", "low"]
 
 
+def test_same_cycle_mixed_priorities_fifo_within_priority():
+    sim = Simulator()
+    bus = Bus(sim, width_bytes=16, setup_latency=1)
+    done = []
+
+    def holder(sim, bus):
+        yield from bus.transfer(16 * 9, master="hold")  # occupies 10 cycles
+
+    def master(sim, bus, name, prio):
+        yield 1
+        yield from bus.transfer(16, master=name, priority=prio)
+        done.append((name, sim.now))
+
+    sim.process(holder(sim, bus))
+    for name, prio in (("p1a", 1), ("p0a", 0), ("p1b", 1), ("p2", 2), ("p0b", 0), ("p1c", 1)):
+        sim.process(master(sim, bus, name, prio))
+    sim.run()
+    assert [name for name, _ in done] == ["p0a", "p0b", "p1a", "p1b", "p1c", "p2"]
+    # back to back, 2 cycles each, after the holder's 10
+    assert [t for _, t in done] == [12, 14, 16, 18, 20, 22]
+    assert bus.queue_length == 0
+
+
+def test_uncontended_transfer_builds_no_grant_event(monkeypatch):
+    import repro.hw.bus as bus_module
+
+    built = []
+
+    class CountingEvent(bus_module.Event):
+        __slots__ = ()
+
+        def __init__(self, sim):
+            built.append(sim.now)
+            super().__init__(sim)
+
+    monkeypatch.setattr(bus_module, "Event", CountingEvent)
+    sim = Simulator()
+    bus = Bus(sim, width_bytes=16, setup_latency=2)
+
+    def master(sim, bus, start):
+        yield start
+        yield from bus.transfer(16)
+
+    sim.process(master(sim, bus, 0))
+    sim.process(master(sim, bus, 10))  # the bus is free again at 3
+    sim.process(master(sim, bus, 11))  # queues behind the one at 10
+    sim.run()
+    assert built == [11]
+    assert bus.stats.wait_cycles == 2
+
+
 def test_utilization():
     sim = Simulator()
     bus = Bus(sim, width_bytes=16, setup_latency=2)

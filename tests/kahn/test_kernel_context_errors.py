@@ -60,3 +60,14 @@ def test_executors_hand_kernels_a_located_context():
     g.connect("writer.out", "reader.in")
     with pytest.raises(KeyError, match=r"writer\.wrong_name"):
         FunctionalExecutor(g).run()
+
+
+def test_external_access_size_must_be_an_int():
+    # the size becomes a bus hold in cycles; a float used to be
+    # truncated there silently, and leaked into the bus statistics
+    ctx = KernelContext(PORTS, task="mc")
+    with pytest.raises(ValueError, match="n_bytes must be an int, got 20.5"):
+        ctx.external_access(20.5)
+    with pytest.raises(ValueError, match="n_bytes must be an int, got True"):
+        ctx.external_access(True)
+    assert ctx.external_access(20).n_bytes == 20

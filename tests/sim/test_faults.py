@@ -44,6 +44,8 @@ def test_stall_spec_validated():
         StallSpec("cp0", at_cycle=-1, cycles=10)
     with pytest.raises(ValueError, match="cycles"):
         StallSpec("cp0", at_cycle=0, cycles=0)
+    with pytest.raises(ValueError, match="StallSpec.cycles must be an int, got 2.5"):
+        StallSpec("cp0", at_cycle=0, cycles=2.5)
 
 
 def test_parse_presets():

@@ -56,14 +56,17 @@ def test_non_generator_rejected():
 
 
 def test_yield_non_event_rejected():
-    sim = Simulator()
+    # a bare int is a hold; a float, a string or a bool is still an
+    # error, and so is a negative hold
+    def bad(sim, value):
+        yield value
 
-    def bad(sim):
-        yield 42
-
-    sim.process(bad(sim))
-    with pytest.raises(SimulationError, match="expected Event"):
-        sim.run()
+    for value, message in ((4.5, "expected Event"), ("x", "expected Event"),
+                           (True, "expected Event"), (-1, "negative timeout")):
+        sim = Simulator()
+        sim.process(bad(sim, value))
+        with pytest.raises(SimulationError, match=message):
+            sim.run()
 
 
 def test_exception_in_process_fails_join():

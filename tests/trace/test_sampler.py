@@ -48,6 +48,8 @@ def test_sampler_rejects_bad_interval():
     system.configure(graph)
     with pytest.raises(ValueError, match="interval"):
         Sampler(system, interval=0)
+    with pytest.raises(ValueError, match="Sampler interval must be an int, got 2.5"):
+        Sampler(system, interval=2.5)
 
 
 def test_sampler_requires_configured_system():
