@@ -35,7 +35,7 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def run_many(benchmark, specs, jobs=None, timeout=None, retries=0):
+def run_many(benchmark, specs, jobs=None):
     """Run a batch of independent RunSpecs through the parallel engine
     exactly once, stashing the speedup numbers in ``extra_info``.
 
@@ -46,7 +46,7 @@ def run_many(benchmark, specs, jobs=None, timeout=None, retries=0):
     """
     from repro.runner import ParallelRunner
 
-    runner = ParallelRunner(jobs=jobs, timeout=timeout, retries=retries)
+    runner = ParallelRunner(jobs=jobs)
     report = benchmark.pedantic(runner.run, args=(specs,), rounds=1, iterations=1)
     benchmark.extra_info["jobs"] = report.jobs
     benchmark.extra_info["runs"] = len(report.results)

@@ -137,8 +137,6 @@ def _run_resolved(
     keep_results: bool,
     parallel: bool,
     jobs: Optional[int],
-    timeout: Optional[float],
-    retries: int,
 ) -> List[SweepPoint]:
     if parallel or jobs is not None:
         if keep_results:
@@ -153,7 +151,7 @@ def _run_resolved(
             )
             for i, (combo, shell, sys_params) in enumerate(resolved)
         ]
-        report = ParallelRunner(jobs=jobs, timeout=timeout, retries=retries).run(specs)
+        report = ParallelRunner(jobs=jobs).run(specs)
         failed = report.failures
         if failed:
             raise RuntimeError(
@@ -185,8 +183,6 @@ def sweep(
     keep_results: bool = False,
     parallel: bool = False,
     jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
     prune: Optional[Callable[[Dict[str, Any], ShellParams, SystemParams], Optional[str]]] = None,
     pruned: Optional[List[Tuple[Dict[str, Any], str]]] = None,
 ) -> List[SweepPoint]:
@@ -224,7 +220,7 @@ def sweep(
                 pruned.append((dict(combo), reason))
         resolved = surviving
 
-    return _run_resolved(resolved, build, keep_results, parallel, jobs, timeout, retries)
+    return _run_resolved(resolved, build, keep_results, parallel, jobs)
 
 
 def feasibility_pruner(
@@ -272,8 +268,6 @@ def successive_halving(
     pruned: Optional[List[Tuple[Dict[str, Any], str]]] = None,
     parallel: bool = False,
     jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
 ) -> List[SweepPoint]:
     """Race the (statically feasible) frontier across fidelity rungs.
 
@@ -316,9 +310,7 @@ def successive_halving(
         ):
             shell, sys_params = rung_axis.apply(shell, sys_params, rung)
             resolved.append((combo, shell, sys_params))
-        points = _run_resolved(
-            resolved, build, False, parallel, jobs, timeout, retries
-        )
+        points = _run_resolved(resolved, build, False, parallel, jobs)
         points.sort(key=lambda p: (metric(p), sorted(p.settings.items()).__repr__()))
         if i < len(rung_axis.values) - 1:
             n_keep = max(1, int(len(points) * keep))

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.system import EclipseSystem
-from repro.kahn.graph import ApplicationGraph
-from repro.runner import resolve_factory
+from repro.runner import build, resolve_factory
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -215,29 +214,6 @@ class SystemSnapshot:
 # ----------------------------------------------------------------------
 # capture / restore
 # ----------------------------------------------------------------------
-def _build(factory_str: str, kwargs: Dict[str, Any]) -> EclipseSystem:
-    """Rebuild and configure a system from its replay anchor."""
-    factory = resolve_factory(factory_str)
-    built = factory(**kwargs)
-    if isinstance(built, tuple):
-        system, graph = built
-    else:  # pragma: no cover - factories in this repo return pairs
-        system, graph = built, None
-    if not isinstance(system, EclipseSystem):
-        raise SnapshotError(
-            f"factory {factory_str!r} returned {type(system).__name__}, "
-            f"not an EclipseSystem"
-        )
-    if graph is not None and not system._configured:
-        if not isinstance(graph, ApplicationGraph):
-            raise SnapshotError(
-                f"factory {factory_str!r} returned a second value of type "
-                f"{type(graph).__name__}, not an ApplicationGraph"
-            )
-        system.configure(graph)
-    return system
-
-
 def capture(
     system: EclipseSystem,
     factory: Union[str, Callable],
@@ -264,7 +240,8 @@ def capture(
 def restore(snapshot: SystemSnapshot, verify: bool = True) -> EclipseSystem:
     """Reconstruct the captured system, positioned at ``snapshot.cycle``.
 
-    Rebuilds from the replay anchor and advances to the boundary; with
+    Rebuilds from the replay anchor with :func:`repro.runner.build`
+    (the runner's own build) and advances to the boundary; with
     ``verify`` (the default) the reconstructed state's digest must equal
     the captured one, else :class:`SnapshotError` names the diverging
     state paths.  The returned system continues with ``run()`` exactly
@@ -277,7 +254,7 @@ def restore(snapshot: SystemSnapshot, verify: bool = True) -> EclipseSystem:
         raise SnapshotError(
             f"factory {snapshot.factory!r} cannot replay this anchor: {e}"
         ) from None
-    system = _build(snapshot.factory, dict(snapshot.kwargs))
+    system = build(snapshot.factory, snapshot.kwargs)
     system.advance(snapshot.cycle)
     if verify:
         state = system.export_state()

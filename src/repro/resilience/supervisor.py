@@ -1,10 +1,11 @@
 """Supervised sweep execution: checkpointed workers, crash recovery.
 
-The :class:`~repro.runner.ParallelRunner` restarts a failed run *from
-zero*; for long sweeps that wastes everything already simulated and a
-dead worker poisons its process pool.  The :class:`Supervisor` runs
-each :class:`~repro.runner.RunSpec` in its own ``multiprocessing``
-worker that
+The :class:`~repro.runner.ParallelRunner` has no recovery: a dead
+worker breaks its process pool and every run the pool still owed is
+reported as crashed.  The :class:`Supervisor` is the one failure
+policy for long sweeps.  It runs each :class:`~repro.runner.RunSpec`
+in its own ``multiprocessing`` worker, which calls the runner's own
+executor (:func:`repro.runner.execute`) with a checkpoint hook that
 
 1. advances the system ``checkpoint_interval`` cycles at a time,
 2. runs the online invariant monitors at every boundary
@@ -31,7 +32,10 @@ Checkpoint directory layout::
 
 Reports match the plain runner bit for bit: a supervised sweep's
 deterministic ``RunReport.to_dict()`` equals a ``ParallelRunner`` run
-of the same specs — checkpointing is invisible in the results.
+of the same specs — checkpointing is invisible in the results.  One
+executor builds every result, so failing runs match too, traceback
+included — except an exception raised mid-simulation, whose traceback
+shows the checkpoint loop's ``advance()`` frames, not ``run()``'s.
 """
 
 from __future__ import annotations
@@ -40,21 +44,20 @@ import json
 import multiprocessing
 import os
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.monitors import MonitorSuite
+from repro.core.system import EclipseSystem
 from repro.resilience.snapshot import (
     SystemSnapshot,
     capture,
-    decode_value,
     encode_value,
     factory_ref,
     restore,
 )
-from repro.runner import RunReport, RunResult, RunSpec, _histories_digest
+from repro.runner import RunReport, RunResult, RunSpec, crash_result, execute
 
 __all__ = ["Supervisor", "SupervisorError", "SWEEP_SCHEMA"]
 
@@ -144,19 +147,17 @@ def _touch(path: str) -> None:
     os.utime(path, None)
 
 
-def _worker_main(
-    index: int,
-    factory: str,
-    kwargs_encoded: dict,
-    label: str,
-    directory: str,
-    interval: int,
-    monitor_ids: Optional[Tuple[str, ...]],
-    verify_restore: bool,
-    sabotage: Optional[dict],
-) -> None:
-    """One supervised run: restore-or-build, then an advance /
-    monitor / checkpoint / heartbeat loop until completion.
+@dataclass
+class _Worker:
+    """One supervised run; ``main`` is its worker process's target.
+
+    ``main`` calls :func:`repro.runner.execute` with this object as the
+    checkpoint hook and writes the result file.  ``resume`` restores
+    the run from its snapshot when one exists.  ``drive`` advances the
+    system ``interval`` cycles at a time; at each quiescent boundary it
+    runs the invariant monitors (a corrupt run is failed with a
+    diagnosis, never checkpointed), writes the snapshot and touches the
+    heartbeat.
 
     ``sabotage`` is the test harness's crash injector:
     ``{"crash_after_checkpoints": k}`` hard-exits after the k-th
@@ -164,44 +165,47 @@ def _worker_main(
     The supervisor only passes it to a run's *first* worker, so the
     replacement worker completes the run.
     """
-    hb = _hb_path(directory, index)
-    ckpt = _ckpt_path(directory, index)
-    sabotage = sabotage or {}
-    if sabotage.get("hang"):
-        _touch(hb)
-        while True:  # pragma: no cover - killed by the supervisor
-            time.sleep(0.5)
-    if sabotage.get("crash_after_checkpoints") == 0:
-        os._exit(17)  # crash before any checkpoint exists
-    start = time.perf_counter()
-    kwargs = {k: decode_value(v) for k, v in kwargs_encoded.items()}
-    try:
-        if os.path.exists(ckpt):
-            system = restore(SystemSnapshot.load(ckpt), verify=verify_restore)
-        else:
-            from repro.resilience.snapshot import _build
 
-            system = _build(factory, kwargs)
-        suite = MonitorSuite(monitor_ids)
+    index: int
+    spec: RunSpec
+    directory: str
+    interval: int
+    monitor_ids: Optional[Tuple[str, ...]]
+    verify_restore: bool
+    sabotage: dict
+
+    def main(self) -> None:
+        if self.sabotage.get("hang"):
+            _touch(_hb_path(self.directory, self.index))
+            while True:  # pragma: no cover - killed by the supervisor
+                time.sleep(0.5)
+        if self.sabotage.get("crash_after_checkpoints") == 0:
+            os._exit(17)  # crash before any checkpoint exists
+        result = execute(self.index, self.spec, checkpoint=self)
+        _atomic_write_json(_result_path(self.directory, self.index),
+                           result.to_dict(include_timing=True))
+
+    def resume(self) -> Optional[EclipseSystem]:
+        ckpt = _ckpt_path(self.directory, self.index)
+        if not os.path.exists(ckpt):
+            return None
+        return restore(SystemSnapshot.load(ckpt), verify=self.verify_restore)
+
+    def drive(self, system: EclipseSystem) -> None:
+        ckpt = _ckpt_path(self.directory, self.index)
+        hb = _hb_path(self.directory, self.index)
+        crash_after = self.sabotage.get("crash_after_checkpoints")
+        suite = MonitorSuite(self.monitor_ids)
         _touch(hb)
         checkpoints = 0
         finished = system.all_finished()
         while not finished:
-            finished = system.advance(system.sim.now + interval)
+            finished = system.advance(system.sim.now + self.interval)
             violations = suite.check(system)
             if violations:
-                _atomic_write_json(_result_path(directory, index), RunResult(
-                    index=index,
-                    label=label,
-                    ok=False,
-                    error=f"InvariantViolation: {violations[0]}",
-                    metrics={
-                        "violations": [v.to_dict() for v in violations],
-                    },
-                    wall_time=time.perf_counter() - start,
-                    obs_level=str(getattr(system, "obs", "full")),
-                ).to_dict(include_timing=True))
-                return
+                # execute() reports the structured list in the metrics
+                violations[0].violations = [v.to_dict() for v in violations]
+                raise violations[0]
             if finished:
                 break  # a finished run needs finalizing, not a checkpoint
             if system.sim.peek() is None:
@@ -209,52 +213,12 @@ def _worker_main(
             # Only quiescent boundaries are checkpointed: advance()
             # stopped *before* the events at this cycle, so a replayed
             # advance() to the same cycle reproduces the state exactly.
-            capture(system, factory, kwargs).save(ckpt)
+            capture(system, self.spec.factory, self.spec.kwargs).save(ckpt)
             system.resilience["checkpoints_written"] += 1
             _touch(hb)
             checkpoints += 1
-            crash_after = sabotage.get("crash_after_checkpoints")
             if crash_after is not None and checkpoints >= crash_after:
                 os._exit(17)
-        result = system.run()
-        metrics = result.to_dict()
-        metrics.pop("histories", None)
-        obs = getattr(system, "obs", None)
-        if obs is not None and system.sampler is not None:
-            # mirror runner._execute_spec: the deterministic payload of
-            # a supervised run must equal the plain runner's bit for bit
-            metrics["sampling"] = {
-                "interval": system.sampler.interval,
-                "samples": max(
-                    (len(s) for s in system.sampler.utilization.values()),
-                    default=0,
-                ),
-            }
-        _atomic_write_json(_result_path(directory, index), RunResult(
-            index=index,
-            label=label,
-            ok=True,
-            completed=result.completed,
-            cycles=result.cycles,
-            metrics=metrics,
-            histories_sha256=(
-                _histories_digest(result.histories)
-                if obs is None or obs.histories
-                else None
-            ),
-            wall_time=time.perf_counter() - start,
-            obs_level=str(obs) if obs is not None else "full",
-        ).to_dict(include_timing=True))
-    except Exception as e:  # noqa: BLE001 — the result file carries it
-        _atomic_write_json(_result_path(directory, index), RunResult(
-            index=index,
-            label=label,
-            ok=False,
-            error=f"{type(e).__name__}: {e}",
-            metrics={"traceback": traceback.format_exc(limit=8)},
-            wall_time=time.perf_counter() - start,
-            obs_level=str(kwargs.get("obs_level", "full")),
-        ).to_dict(include_timing=True))
 
 
 # ----------------------------------------------------------------------
@@ -262,10 +226,8 @@ def _worker_main(
 # ----------------------------------------------------------------------
 @dataclass
 class _Job:
-    index: int
     proc: multiprocessing.Process
     started: float
-    restarts: int = 0
 
 
 class Supervisor:
@@ -368,17 +330,28 @@ class Supervisor:
 
         active: Dict[int, _Job] = {}
         restarts: Dict[int, int] = {i: 0 for i in pending}
-        total_restarts = 0
         ctx = multiprocessing.get_context()
         while pending or active:
             queue_depth.observe(len(pending))
             while pending and len(active) < self.jobs:
                 i = pending.pop(0)
-                active[i] = self._spawn(ctx, i, payloads[i],
+                active[i] = self._spawn(ctx, i, specs[i],
                                         first=restarts[i] == 0)
             finished_jobs: List[int] = []
             for i, job in active.items():
-                if not job.proc.is_alive():
+                if job.proc.is_alive():
+                    if self._heartbeat_age(i, job) <= self.heartbeat_timeout:
+                        continue
+                    hung = True
+                    self.metrics.counter("supervisor.worker_hangs").inc()
+                    job.proc.terminate()
+                    job.proc.join(timeout=5.0)
+                    if job.proc.is_alive():  # pragma: no cover - stubborn
+                        job.proc.kill()
+                        job.proc.join()
+                    cause = f"no heartbeat for {self.heartbeat_timeout:g}s"
+                    what = f"hung (heartbeat >{self.heartbeat_timeout:g}s)"
+                else:
                     job.proc.join()
                     got = self._load_result(i)
                     if got is not None:
@@ -386,57 +359,30 @@ class Supervisor:
                         finished_jobs.append(i)
                         continue
                     # died without a result file: a genuine crash
+                    hung = False
                     self.metrics.counter("supervisor.worker_crashes").inc()
-                    if restarts[i] >= self.max_restarts:
-                        results[i] = RunResult(
-                            index=i, label=payloads[i]["label"], ok=False,
-                            crashed=True,
-                            error=(
-                                f"WorkerCrashed: exit code "
-                                f"{job.proc.exitcode!r} after "
-                                f"{restarts[i]} restart(s)"
-                            ),
-                        )
-                        finished_jobs.append(i)
-                        continue
-                    restarts[i] += 1
-                    total_restarts += 1
-                    notes.append(
-                        f"run {i}: worker died (exit {job.proc.exitcode!r}), "
-                        f"restart {restarts[i]} from checkpoint"
+                    cause = f"exit code {job.proc.exitcode!r}"
+                    what = f"died (exit {job.proc.exitcode!r})"
+                if restarts[i] >= self.max_restarts:
+                    kind = "WorkerHung" if hung else "WorkerCrashed"
+                    results[i] = crash_result(
+                        i, specs[i],
+                        f"{kind}: {cause} after {restarts[i]} restart(s)",
+                        hung=hung,
                     )
-                    active[i] = self._spawn(ctx, i, payloads[i], first=False)
-                elif self._heartbeat_age(i, job) > self.heartbeat_timeout:
-                    self.metrics.counter("supervisor.worker_hangs").inc()
-                    job.proc.terminate()
-                    job.proc.join(timeout=5.0)
-                    if job.proc.is_alive():  # pragma: no cover - stubborn
-                        job.proc.kill()
-                        job.proc.join()
-                    if restarts[i] >= self.max_restarts:
-                        results[i] = RunResult(
-                            index=i, label=payloads[i]["label"], ok=False,
-                            timed_out=True,
-                            error=(
-                                f"WorkerHung: no heartbeat for "
-                                f"{self.heartbeat_timeout:g}s after "
-                                f"{restarts[i]} restart(s)"
-                            ),
-                        )
-                        finished_jobs.append(i)
-                        continue
-                    restarts[i] += 1
-                    total_restarts += 1
-                    notes.append(
-                        f"run {i}: worker hung (heartbeat "
-                        f">{self.heartbeat_timeout:g}s), restart "
-                        f"{restarts[i]} from checkpoint"
-                    )
-                    active[i] = self._spawn(ctx, i, payloads[i], first=False)
+                    finished_jobs.append(i)
+                    continue
+                restarts[i] += 1
+                notes.append(
+                    f"run {i}: worker {what}, restart {restarts[i]} "
+                    f"from checkpoint"
+                )
+                active[i] = self._spawn(ctx, i, specs[i], first=False)
             for i in finished_jobs:
                 del active[i]
             if active:
                 time.sleep(self.poll_interval)
+        total_restarts = sum(restarts.values())
         if total_restarts:
             notes.append(f"total worker restarts: {total_restarts}")
         self.metrics.counter("supervisor.worker_restarts").inc(total_restarts)
@@ -456,27 +402,16 @@ class Supervisor:
         )
 
     # ------------------------------------------------------------------
-    def _spawn(self, ctx, index: int, payload: dict, first: bool) -> _Job:
+    def _spawn(self, ctx, index: int, spec: RunSpec, first: bool) -> _Job:
         self.metrics.counter("supervisor.workers_spawned").inc()
         hb = _hb_path(self.checkpoint_dir, index)
         _touch(hb)  # a fresh worker gets a full heartbeat budget
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(
-                index,
-                payload["factory"],
-                payload["kwargs"],
-                payload["label"],
-                self.checkpoint_dir,
-                self.interval,
-                self.monitors,
-                self.verify_restore,
-                self.sabotage.get(index) if first else None,
-            ),
-            daemon=True,
-        )
+        worker = _Worker(index, spec, self.checkpoint_dir, self.interval,
+                         self.monitors, self.verify_restore,
+                         self.sabotage.get(index, {}) if first else {})
+        proc = ctx.Process(target=worker.main, daemon=True)
         proc.start()
-        return _Job(index=index, proc=proc, started=time.monotonic())
+        return _Job(proc=proc, started=time.monotonic())
 
     def _heartbeat_age(self, index: int, job: _Job) -> float:
         try:

@@ -24,6 +24,10 @@ timing) is byte-identical for the same spec list at any ``jobs`` count:
 Workloads whose specs cannot be pickled (closures, lambdas, bound
 state) transparently fall back to in-process serial execution; the
 report records the fallback in ``notes``.
+
+:func:`execute` is the one executor: the serial path and the pool
+here, the sweep service and the supervisor's worker all call it.
+Crash and hang recovery belong to the supervisor alone.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ import pickle
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.core.system import EclipseSystem, SystemResult
+from repro.kahn.graph import ApplicationGraph
 
 __all__ = [
     "RunSpec",
@@ -47,6 +53,9 @@ __all__ = [
     "ParallelRunner",
     "run_specs",
     "resolve_factory",
+    "build",
+    "execute",
+    "crash_result",
 ]
 
 
@@ -91,10 +100,6 @@ class RunSpec:
     factory: Factory
     kwargs: Mapping[str, Any] = field(default_factory=dict)
     label: str = ""
-    #: per-run wall-clock timeout in seconds (None = runner default)
-    timeout: Optional[float] = None
-    #: extra attempts after a failure/timeout (None = runner default)
-    retries: Optional[int] = None
 
     def describe(self) -> str:
         if self.label:
@@ -107,9 +112,9 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """What one run produced.  Everything except ``wall_time`` and
-    ``attempts`` is a pure function of the spec — the deterministic
-    payload the regression/determinism tests compare."""
+    """What one run produced.  Everything except ``wall_time`` is a
+    pure function of the spec — the deterministic payload the
+    regression/determinism tests compare."""
 
     index: int
     label: str
@@ -123,9 +128,9 @@ class RunResult:
     #: sha256 over the sorted per-stream histories — lets callers check
     #: byte-identity against an oracle without shipping the bytes
     histories_sha256: Optional[str] = None
-    #: the run exceeded its wall-clock budget (the worker may still be
-    #: computing; distinguishable from ``crashed`` so supervisor
-    #: policies can treat hangs and deaths differently)
+    #: the supervisor gave up on a worker that stopped heartbeating
+    #: (distinguishable from ``crashed`` so hangs and deaths can be
+    #: told apart)
     timed_out: bool = False
     #: the worker process died (pool breakage, signal, hard exit) —
     #: ``error`` carries the exception repr
@@ -134,10 +139,8 @@ class RunResult:
     #: "full" there are no byte histories, so ``histories_sha256`` is
     #: None — the tier in the result makes that unmistakable
     obs_level: str = "full"
-    #: wall-clock seconds for the successful (or last) attempt
+    #: wall-clock seconds the run took
     wall_time: float = 0.0
-    #: 1 for a first-try success; >1 after retries
-    attempts: int = 1
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -155,7 +158,6 @@ class RunResult:
         }
         if include_timing:
             out["wall_time"] = self.wall_time
-            out["attempts"] = self.attempts
         return out
 
     @classmethod
@@ -176,7 +178,6 @@ class RunResult:
             crashed=data.get("crashed", False),
             obs_level=data.get("obs_level", "full"),
             wall_time=data.get("wall_time", 0.0),
-            attempts=data.get("attempts", 1),
         )
 
 
@@ -239,12 +240,6 @@ class RunReport:
             wall = reg.histogram("run.wall_time", round_to=4)
             for r in self.results:
                 wall.observe(r.wall_time)
-            reg.counter("runs.attempts").inc(
-                sum(r.attempts for r in self.results)
-            )
-            reg.counter("runs.retried").inc(
-                sum(1 for r in self.results if r.attempts > 1)
-            )
             reg.gauge("runner.jobs").set(self.jobs)
             reg.gauge("runner.wall_time").set(round(self.wall_time, 4))
             reg.gauge("runner.speedup").set(round(self.speedup, 3))
@@ -286,7 +281,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# worker
+# the executor
 # ---------------------------------------------------------------------------
 def _histories_digest(histories: Mapping[str, bytes]) -> str:
     h = sha256()
@@ -300,67 +295,113 @@ def _histories_digest(histories: Mapping[str, bytes]) -> str:
 
 def _spec_obs_level(spec: RunSpec) -> str:
     """The observability tier a spec *requested* (used when the run
-    never built a system — failures, timeouts, worker crashes)."""
+    never built a system — failures, hangs, worker crashes)."""
     return str(dict(spec.kwargs).get("obs_level", "full"))
 
 
-def _execute_spec(index: int, spec: RunSpec) -> RunResult:
-    """Build, configure and run one spec.  Runs inside the worker
-    process (or inline on the serial path); never raises — failures
-    come back as ``ok=False`` results so one bad point cannot take the
-    whole sweep down."""
-    label = spec.describe()
+def build(factory: Factory, kwargs: Mapping[str, Any]) -> EclipseSystem:
+    """Resolve ``factory``, call it with ``kwargs`` and return the
+    configured system.  The factory returns a bare system or a
+    ``(system, graph)`` pair, whose graph is configured unless the
+    factory did that already; a value of the wrong type is a
+    :class:`TypeError` naming the factory."""
+    fn = resolve_factory(factory)
+    built = fn(**dict(kwargs))
+    system, graph = built if isinstance(built, tuple) else (built, None)
+    name = getattr(fn, "__qualname__", repr(fn))
+    if not isinstance(system, EclipseSystem):
+        raise TypeError(
+            f"factory {name} returned {type(system).__name__}, "
+            f"not an EclipseSystem"
+        )
+    if graph is not None and not system._configured:
+        if not isinstance(graph, ApplicationGraph):
+            raise TypeError(
+                f"factory {name} returned a second value of type "
+                f"{type(graph).__name__}, not an ApplicationGraph"
+            )
+        system.configure(graph)
+    return system
+
+
+def execute(index: int, spec: RunSpec, *, checkpoint=None) -> RunResult:
+    """Build, configure and run one spec; never raises.
+
+    A failure comes back as an ``ok=False`` result carrying the
+    traceback, or the ``violations`` list an invariant monitor raised.
+    ``checkpoint`` is the supervisor's per-run hook: ``resume()``
+    returns the system restored from the run's snapshot (None: build
+    afresh), and ``drive(system)`` advances it boundary by boundary
+    before the final ``run()``.
+    """
     start = time.perf_counter()
     try:
-        factory = resolve_factory(spec.factory)
-        built = factory(**dict(spec.kwargs))
-        if isinstance(built, tuple):
-            system, graph = built
-            system.configure(graph)
-        else:
-            system = built
-        result = system.run()
-        metrics = result.to_dict()
-        metrics.pop("histories", None)
-        obs = getattr(system, "obs", None)
-        if obs is not None and system.sampler is not None:
-            # deterministic sampling summary (sample counts are a pure
-            # function of the schedule, which is level-invariant)
-            metrics["sampling"] = {
-                "interval": system.sampler.interval,
-                "samples": max(
-                    (len(s) for s in system.sampler.utilization.values()),
-                    default=0,
-                ),
-            }
-        return RunResult(
-            index=index,
-            label=label,
-            ok=True,
-            completed=result.completed,
-            cycles=result.cycles,
-            metrics=metrics,
-            # below "full" there are no byte histories to digest —
-            # None keeps the absence explicit instead of digesting
-            # empty streams
-            histories_sha256=(
-                _histories_digest(result.histories)
-                if obs is None or obs.histories
-                else None
-            ),
-            wall_time=time.perf_counter() - start,
-            obs_level=str(obs) if obs is not None else "full",
-        )
+        system = checkpoint.resume() if checkpoint is not None else None
+        if system is None:
+            system = build(spec.factory, spec.kwargs)
+        if checkpoint is not None:
+            checkpoint.drive(system)
+        return _ok_result(index, spec, system, system.run(), start)
     except Exception as e:  # noqa: BLE001 — the report carries the error
+        violations = getattr(e, "violations", None)
         return RunResult(
             index=index,
-            label=label,
+            label=spec.describe(),
             ok=False,
             error=f"{type(e).__name__}: {e}",
-            metrics={"traceback": traceback.format_exc(limit=8)},
+            metrics=(
+                {"violations": violations} if violations is not None
+                else {"traceback": traceback.format_exc(limit=8)}
+            ),
             wall_time=time.perf_counter() - start,
             obs_level=_spec_obs_level(spec),
         )
+
+
+def _ok_result(index: int, spec: RunSpec, system: EclipseSystem,
+               result: SystemResult, start: float) -> RunResult:
+    metrics = result.to_dict()
+    metrics.pop("histories", None)
+    if system.sampler is not None:
+        # deterministic sampling summary (sample counts are a pure
+        # function of the schedule, which is level-invariant)
+        metrics["sampling"] = {
+            "interval": system.sampler.interval,
+            "samples": max(
+                (len(s) for s in system.sampler.utilization.values()),
+                default=0,
+            ),
+        }
+    return RunResult(
+        index=index,
+        label=spec.describe(),
+        ok=True,
+        completed=result.completed,
+        cycles=result.cycles,
+        metrics=metrics,
+        # below "full" there are no byte histories to digest — None
+        # keeps the absence explicit instead of digesting empty streams
+        histories_sha256=(
+            _histories_digest(result.histories) if system.obs.histories else None
+        ),
+        wall_time=time.perf_counter() - start,
+        obs_level=str(system.obs),
+    )
+
+
+def crash_result(index: int, spec: RunSpec, error: str, *,
+                 hung: bool = False) -> RunResult:
+    """The result of a run whose worker died (``crashed``) or, with
+    ``hung``, stopped responding (``timed_out``) before reporting."""
+    return RunResult(
+        index=index,
+        label=spec.describe(),
+        ok=False,
+        error=error,
+        crashed=not hung,
+        timed_out=hung,
+        obs_level=_spec_obs_level(spec),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,30 +411,18 @@ class ParallelRunner:
     """Fans independent :class:`RunSpec` runs out over a process pool.
 
     ``jobs`` defaults to ``os.cpu_count()``; ``jobs=1`` runs everything
-    in-process (no pool, no pickling requirement).  ``timeout`` and
-    ``retries`` are per-run defaults that individual specs may
-    override.  A run that times out or fails is retried up to its retry
-    budget; a run that exhausts it is reported as a failure, not
-    raised.
+    in-process (no pool, no pickling requirement).  A run that fails is
+    reported as a failure, not raised; a worker that dies reports every
+    run the broken pool still owed as ``crashed``.  Recovery from
+    crashes and hangs is :class:`repro.resilience.Supervisor`'s job.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-    ):
+    def __init__(self, jobs: Optional[int] = None):
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = jobs
-        self.timeout = timeout
-        self.retries = retries
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> RunReport:
@@ -402,7 +431,7 @@ class ParallelRunner:
         notes: List[str] = []
         start = time.perf_counter()
         if self.jobs == 1 or len(specs) <= 1:
-            results = self._run_serial(specs)
+            results = [execute(i, spec) for i, spec in enumerate(specs)]
         else:
             unpicklable = self._first_unpicklable(specs)
             if unpicklable is not None:
@@ -410,7 +439,7 @@ class ParallelRunner:
                     f"serial fallback: spec {unpicklable[0]} "
                     f"({unpicklable[1]}) is not picklable"
                 )
-                results = self._run_serial(specs)
+                results = [execute(i, spec) for i, spec in enumerate(specs)]
             else:
                 results = self._run_pool(specs)
         return RunReport(
@@ -422,11 +451,6 @@ class ParallelRunner:
         )
 
     # ------------------------------------------------------------------
-    def _budget(self, spec: RunSpec) -> Tuple[Optional[float], int]:
-        timeout = spec.timeout if spec.timeout is not None else self.timeout
-        retries = spec.retries if spec.retries is not None else self.retries
-        return timeout, retries
-
     @staticmethod
     def _first_unpicklable(specs: Sequence[RunSpec]) -> Optional[Tuple[int, str]]:
         for i, spec in enumerate(specs):
@@ -436,82 +460,25 @@ class ParallelRunner:
                 return i, spec.describe()
         return None
 
-    def _run_serial(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        results = []
-        for i, spec in enumerate(specs):
-            _timeout, retries = self._budget(spec)  # no preemption in-process
-            result = _execute_spec(i, spec)
-            attempts = 1
-            while not result.ok and attempts <= retries:
-                result = _execute_spec(i, spec)
-                attempts += 1
-            result.attempts = attempts
-            results.append(result)
-        return results
-
     def _run_pool(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        results: List[Optional[RunResult]] = [None] * len(specs)
+        results: List[RunResult] = []
         workers = min(self.jobs, len(specs))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_execute_spec, i, spec) for i, spec in enumerate(specs)}
-            attempts = {i: 1 for i in futures}
+            futures = [pool.submit(execute, i, spec) for i, spec in enumerate(specs)]
             # collect in submission order — aggregation never depends on
             # completion order
-            pending = list(futures)
-            while pending:
-                i = pending.pop(0)
-                spec = specs[i]
-                timeout, retries = self._budget(spec)
+            for i, (spec, future) in enumerate(zip(specs, futures)):
                 try:
-                    result = futures[i].result(timeout=timeout)
-                except FutureTimeoutError:
-                    futures[i].cancel()
-                    result = RunResult(
-                        index=i,
-                        label=spec.describe(),
-                        ok=False,
-                        error=f"TimeoutError: run exceeded {timeout:g}s",
-                        timed_out=True,
-                        wall_time=timeout or 0.0,
-                        obs_level=_spec_obs_level(spec),
-                    )
+                    results.append(future.result())
                 except Exception as e:
-                    # _execute_spec never raises, so anything here is
+                    # execute never raises, so anything here is
                     # infrastructure breakage: a worker process died
                     # (BrokenProcessPool), pickling failed, a pipe broke.
                     # The repr keeps exception detail a str() would lose.
-                    result = RunResult(
-                        index=i,
-                        label=spec.describe(),
-                        ok=False,
-                        error=f"{type(e).__name__}: {e!r}",
-                        crashed=True,
-                        obs_level=_spec_obs_level(spec),
-                    )
-                if not result.ok and attempts[i] <= retries:
-                    attempts[i] += 1
-                    try:
-                        futures[i] = pool.submit(_execute_spec, i, spec)
-                    except Exception:
-                        # a broken pool refuses new work; report the
-                        # crash instead of letting submit() take the
-                        # whole sweep down
-                        result.attempts = attempts[i] - 1
-                        result.crashed = True
-                        results[i] = result
-                        continue
-                    pending.append(i)
-                    continue
-                result.attempts = attempts[i]
-                results[i] = result
-        return [r for r in results if r is not None]
+                    results.append(crash_result(i, spec, f"{type(e).__name__}: {e!r}"))
+        return results
 
 
-def run_specs(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-) -> RunReport:
+def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None) -> RunReport:
     """One-call convenience wrapper around :class:`ParallelRunner`."""
-    return ParallelRunner(jobs=jobs, timeout=timeout, retries=retries).run(specs)
+    return ParallelRunner(jobs=jobs).run(specs)

@@ -41,9 +41,11 @@ Responses (server → client), matched on ``event``:
     uncacheable spec).  Never sent for a *failed run* — that is a
     normal ``result`` with ``ok: false``.
 
-Execution note: the service runs submissions without the batch
-runner's per-spec wall-clock timeout/retry budget; crash tolerance in
-supervised mode comes from the Supervisor's own restart budget.
+Execution note: the service runs every submission through
+:func:`repro.runner.execute`, the executor the batch runner uses.  A
+run has no wall-clock timeout or retry; crash and hang recovery comes
+only from supervised mode (``checkpoint_interval``) and its restart
+budget.
 """
 
 from __future__ import annotations

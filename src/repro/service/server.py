@@ -1,9 +1,10 @@
 """The asyncio sweep service: queue, workers, single-flight, cache.
 
 :class:`SweepService` is the long-running core that turns the repo's
-batch machinery (:class:`~repro.runner.ParallelRunner` semantics,
-:class:`~repro.resilience.Supervisor` execution) into a traffic-serving
-system:
+batch machinery into a traffic-serving system.  Every execution —
+process pool, thread or supervised worker — goes through the runner's
+one executor, :func:`repro.runner.execute`, so the service and the
+batch runner report the same bytes for the same spec:
 
 * **submit** computes the request's canonical cache key
   (:func:`repro.service.cachekey.cache_key`) and serves a verified
@@ -27,7 +28,9 @@ system:
 Failed runs resolve every waiter with the failure result but are
 **never cached** — failures caused by infrastructure (a crashed
 worker, an exhausted restart budget) are not pure functions of the
-spec, so caching them would poison the key.
+spec, so caching them would poison the key.  A pool worker that dies
+breaks the process pool: every run the pool owed comes back
+``crashed=True``, and the next execution starts a fresh pool.
 
 Observability: the service's :class:`~repro.obs.metrics.
 MetricsRegistry` carries the cache counters (``service.cache.hits`` /
@@ -48,16 +51,17 @@ the standard library.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
 import sys
-import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
-from repro.runner import RunReport, RunResult, RunSpec, _execute_spec
+from repro.runner import RunReport, RunResult, RunSpec, crash_result, execute
 from repro.service import protocol
 from repro.service.cachekey import CacheKeyError, cache_key
 from repro.service.store import ResultStore, payload_result, result_payload
@@ -93,8 +97,6 @@ class ServiceResponse:
 
     @property
     def payload_sha256(self) -> str:
-        import hashlib
-
         return hashlib.sha256(self.payload).hexdigest()
 
 
@@ -102,7 +104,6 @@ class ServiceResponse:
 class _Outcome:
     payload: bytes
     ok: bool
-    error: Optional[str] = None
 
 
 @dataclass
@@ -196,7 +197,6 @@ class SweepService:
                         error="ServiceError: service closed before execution",
                     )),
                     ok=False,
-                    error="service closed",
                 ))
         self._inflight.clear()
 
@@ -343,15 +343,16 @@ class SweepService:
             self._emit(flight, {"event": "finished", "key": flight.key,
                                 "ok": bool(result.ok)})
             del self._inflight[flight.key]
-            flight.future.set_result(
-                _Outcome(payload=payload, ok=bool(result.ok),
-                         error=result.error)
-            )
+            flight.future.set_result(_Outcome(payload=payload, ok=bool(result.ok)))
             self._queue.task_done()
 
     async def _execute(self, flight: _Flight) -> RunResult:
-        """One execution, never raising: failures come back as
-        ok=False results exactly like the batch runner's."""
+        """One execution through :func:`repro.runner.execute`, never
+        raising.  Anything the executor could not report itself (a
+        dead pool worker, a spec that does not pickle) comes back as a
+        crash result; a broken pool is dropped, so the next execution
+        starts a fresh one."""
+        pool = None
         try:
             if self.checkpoint_interval is not None:
                 result, sup_counters, warm = await asyncio.to_thread(
@@ -362,24 +363,20 @@ class SweepService:
                 if warm:
                     self.metrics.counter("service.warmstart.resumes").inc()
                 return result
-            loop = asyncio.get_running_loop()
-            if self.use_process_pool:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-                return await loop.run_in_executor(
-                    self._pool, _execute_spec, 0, flight.spec
-                )
-            return await asyncio.to_thread(_execute_spec, 0, flight.spec)
-        except asyncio.CancelledError:
-            raise
-        except Exception as e:  # noqa: BLE001 — the result carries it
-            return RunResult(
-                index=0,
-                label=flight.spec.describe(),
-                ok=False,
-                error=f"{type(e).__name__}: {e}",
-                metrics={"traceback": traceback.format_exc(limit=8)},
+            if not self.use_process_pool:
+                return await asyncio.to_thread(execute, 0, flight.spec)
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            pool = self._pool
+            return await asyncio.get_running_loop().run_in_executor(
+                pool, execute, 0, flight.spec
             )
+        except Exception as e:  # noqa: BLE001 — the result carries it
+            # only the pool path raises BrokenProcessPool, so pool is set
+            if isinstance(e, BrokenProcessPool) and pool is self._pool:
+                self._pool = None
+                pool.shutdown(wait=False)
+            return crash_result(0, flight.spec, f"{type(e).__name__}: {e!r}")
 
     def _run_supervised(self, flight: _Flight):
         """Blocking (thread-side) supervised execution of one request:

@@ -9,8 +9,8 @@ CLI, the exploration library, the benchmarks and the tests all stress
 the *same* canonical workloads.
 
 Every factory returns a ``(system, graph)`` pair with the system not
-yet configured — exactly what :func:`repro.runner._execute_spec`
-expects — and is a pure function of its arguments, so the same call is
+yet configured — exactly what :func:`repro.runner.build` expects —
+and is a pure function of its arguments, so the same call is
 byte-reproducible anywhere.
 """
 

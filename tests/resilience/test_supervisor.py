@@ -22,12 +22,12 @@ from repro.sim.faults import corrupt_state
 from repro.workloads import conformance_run
 
 
-def _specs(n=3, payload_len=384):
+def _specs(n=3, payload_len=384, **extra):
     return [
         RunSpec(conformance_run,
                 {"graph": "pipeline" if i % 2 == 0 else "diamond",
                  "payload_len": payload_len,
-                 "fault_spec": "chaos", "fault_seed": i},
+                 "fault_spec": "chaos", "fault_seed": i, **extra},
                 label=f"case-{i}")
         for i in range(n)
     ]
@@ -115,8 +115,9 @@ def test_hung_worker_is_detected_and_replaced(tmp_path):
 def test_restart_budget_exhaustion_reports_crashed(tmp_path):
     """A worker that dies before its first checkpoint has nothing to
     resume from; with max_restarts=0 the run is reported, not retried
-    forever, and the rest of the sweep still completes."""
-    specs = _specs(2)
+    forever, and the rest of the sweep still completes.  The report
+    keeps the tier the spec asked for."""
+    specs = _specs(2, obs_level="counters")
     sup = Supervisor(checkpoint_dir=str(tmp_path), interval=512, jobs=1,
                      max_restarts=0)
     sup.sabotage = {0: {"crash_after_checkpoints": 0}}
@@ -124,6 +125,7 @@ def test_restart_budget_exhaustion_reports_crashed(tmp_path):
     bad = report.results[0]
     assert not bad.ok and bad.crashed and not bad.timed_out
     assert "WorkerCrashed" in bad.error and "0 restart(s)" in bad.error
+    assert bad.obs_level == "counters"
     assert report.results[1].ok
     assert report.failures == [bad]
 
@@ -132,10 +134,11 @@ def test_hang_budget_exhaustion_reports_timed_out(tmp_path):
     sup = Supervisor(checkpoint_dir=str(tmp_path), interval=512, jobs=1,
                      heartbeat_timeout=0.5, max_restarts=0)
     sup.sabotage = {0: {"hang": True}}
-    report = sup.run(_specs(1))
+    report = sup.run(_specs(1, obs_level="counters"))
     bad = report.results[0]
     assert not bad.ok and bad.timed_out and not bad.crashed
     assert "WorkerHung" in bad.error
+    assert bad.obs_level == "counters"
 
 
 def test_invariant_violation_fails_the_run_with_a_diagnosis(tmp_path):

@@ -3,17 +3,23 @@ byte-identical regardless of the job count.
 
 Same specs at jobs=1, jobs=2 and jobs=8 must aggregate to the same
 bytes — results are keyed by spec index, never by completion order, and
-every run is a pure function of its spec.
+every run is a pure function of its spec.  The same holds across front
+ends: the supervisor and the sweep service run the runner's executor,
+so failing runs report the same bytes on each of them too.
 """
 
+import asyncio
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.resilience import Supervisor
 from repro.runner import ParallelRunner, RunSpec
-from repro.workloads import conformance_run
+from repro.service import ResultStore, SweepService
+from repro.service.store import result_payload
+from repro.workloads import conformance_run, quickstart_run
 
 JOB_COUNTS = (1, 2, 8)
 
@@ -68,3 +74,59 @@ def test_order_is_spec_order_not_completion_order():
     report = ParallelRunner(jobs=4).run(specs)
     assert [r.index for r in report.results] == [0, 1, 2, 3]
     assert report.results[0].cycles > report.results[1].cycles
+
+
+# ---------------------------------------------------------------------------
+# failure differential across front ends
+# ---------------------------------------------------------------------------
+def raising_run(message="factory failed"):
+    raise RuntimeError(message)
+
+
+def non_graph_run(payload_len=128):
+    system, _graph = quickstart_run(payload_len=payload_len)
+    return system, "not a graph"
+
+
+def _mixed_specs():
+    return [
+        RunSpec(quickstart_run, {"payload_len": 128, "bogus": 1}, label="bad-kwarg"),
+        RunSpec(raising_run, {"message": "expected"}, label="raises"),
+        RunSpec(non_graph_run, {"payload_len": 128}, label="non-graph"),
+        RunSpec(conformance_run,
+                {"payload_len": 256, "fault_spec": "chaos", "fault_seed": 1,
+                 "obs_level": "counters"},
+                label="ok-counters"),
+    ]
+
+
+def test_failures_are_byte_identical_on_every_front_end(tmp_path):
+    """A bad kwarg, a raising factory, a non-graph second value and an
+    ok run below ``full``: the serial runner, the pool, the supervisor
+    and the service report every one of them with the same bytes,
+    traceback included."""
+    specs = _mixed_specs()
+    serial = ParallelRunner(jobs=1).run(specs)
+    supervised = Supervisor(checkpoint_dir=str(tmp_path / "ckpt"),
+                            interval=512, jobs=2).run(specs)
+    assert ParallelRunner(jobs=2).run(specs).to_json() == serial.to_json()
+    assert supervised.to_json() == serial.to_json()
+
+    async def serve():
+        store = ResultStore(str(tmp_path / "store"))
+        async with SweepService(store, jobs=2, use_process_pool=False) as svc:
+            return await svc.run_batch(specs)
+
+    served = asyncio.run(serve())
+    assert ([result_payload(r) for r in served.results]
+            == [result_payload(r) for r in serial.results])
+
+    bad_kwarg, raises, non_graph, ok = serial.results
+    assert bad_kwarg.error.startswith("TypeError:") and "bogus" in bad_kwarg.error
+    assert raises.error == "RuntimeError: expected"
+    assert non_graph.error == (
+        "TypeError: factory non_graph_run returned a second value of type "
+        "str, not an ApplicationGraph"
+    )
+    assert all("traceback" in r.metrics for r in (bad_kwarg, raises, non_graph))
+    assert ok.ok and ok.obs_level == "counters" and ok.histories_sha256 is None

@@ -19,7 +19,8 @@ import os
 
 from repro.workloads import conformance_run, quickstart_run
 
-__all__ = ["counted_quickstart_run", "counted_conformance_run", "failing_run"]
+__all__ = ["counted_quickstart_run", "counted_conformance_run", "failing_run",
+           "exiting_run"]
 
 #: environment variable naming the marker file executions append to
 MARKER_ENV = "REPRO_SERVICE_TEST_MARKER"
@@ -69,3 +70,11 @@ def failing_run(tag: str = "fail", message: str = "synthetic failure"):
     failure to every waiter and must never cache it."""
     _mark(tag)
     raise RuntimeError(message)
+
+
+def exiting_run(tag: str = "exit", code: int = 3, obs_level: str = "full"):
+    """A factory that kills the process running it — in a pool worker,
+    that breaks the pool.  ``obs_level`` is only read back from the
+    spec by the crash result."""
+    _mark(tag)
+    os._exit(code)

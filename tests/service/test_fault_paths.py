@@ -19,10 +19,11 @@ import asyncio
 import json
 import os
 
-from repro.runner import RunSpec, _execute_spec
+from repro.runner import RunSpec, execute
 from repro.service import ResultStore, SweepService, cache_key
 from repro.service.store import result_payload
-from tests.service.factories import MARKER_ENV, execution_count
+from repro.workloads import quickstart_run
+from tests.service.factories import MARKER_ENV, execution_count, exiting_run
 
 COUNTED = "tests.service.factories:counted_conformance_run"
 INTERVAL = 256  # checkpoints reliably on the 384-byte conformance workload
@@ -47,7 +48,7 @@ def test_worker_crash_mid_job_recovers_without_poisoning_the_cache(tmp_path, mon
     an undisturbed run's."""
     monkeypatch.setenv(MARKER_ENV, str(tmp_path / "marker"))
     spec = _spec("crash")
-    undisturbed = result_payload(_execute_spec(0, spec))
+    undisturbed = result_payload(execute(0, spec))
 
     async def main():
         async with _service(tmp_path) as svc:
@@ -69,7 +70,7 @@ def test_worker_crash_mid_job_recovers_without_poisoning_the_cache(tmp_path, mon
 def test_hung_worker_is_detected_and_replaced(tmp_path, monkeypatch):
     monkeypatch.setenv(MARKER_ENV, str(tmp_path / "marker"))
     spec = _spec("hang")
-    undisturbed = result_payload(_execute_spec(0, spec))
+    undisturbed = result_payload(execute(0, spec))
 
     async def main():
         async with _service(tmp_path, heartbeat_timeout=1.0) as svc:
@@ -102,7 +103,7 @@ def test_exhausted_restart_budget_fails_the_job_and_is_not_cached(tmp_path, monk
     assert failed.result.crashed and "WorkerCrashed" in failed.result.error
     assert stored_after_failure == 0
     assert clean.ok and clean.cache == "miss"
-    assert clean.payload == result_payload(_execute_spec(0, spec))
+    assert clean.payload == result_payload(execute(0, spec))
 
 
 def test_corrupted_entry_is_detected_evicted_and_recomputed(tmp_path, monkeypatch):
@@ -179,3 +180,27 @@ def test_unsupervised_and_supervised_payloads_are_byte_identical(tmp_path, monke
     a, b = asyncio.run(main())
     assert a.key != b.key  # exec params key separately...
     assert a.payload == b.payload  # ...but cannot change the bytes
+
+
+def test_broken_process_pool_is_replaced(tmp_path, monkeypatch):
+    """A factory that kills its pool worker breaks the process pool.
+    The crash is flagged with the spec's tier and not cached, and the
+    next submission runs on a fresh pool."""
+    monkeypatch.setenv(MARKER_ENV, str(tmp_path / "marker"))
+    dying = RunSpec(exiting_run, {"obs_level": "counters"}, label="dies")
+    healthy = RunSpec(quickstart_run, {"payload_len": 128})
+
+    async def main():
+        async with _service(tmp_path, checkpoint_interval=None) as svc:
+            crashed = await svc.submit(dying)
+            stored_after_crash = len(svc.store)
+            after = await svc.submit(healthy)
+            return crashed, stored_after_crash, after
+
+    crashed, stored_after_crash, after = asyncio.run(main())
+    assert not crashed.ok
+    assert crashed.result.crashed and not crashed.result.timed_out
+    assert crashed.result.error.startswith("BrokenProcessPool:")
+    assert crashed.result.obs_level == "counters"
+    assert stored_after_crash == 0
+    assert after.ok and after.payload == result_payload(execute(0, healthy))

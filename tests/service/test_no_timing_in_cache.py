@@ -1,10 +1,10 @@
 """Regression: wall-clock never reaches a cached entry.
 
-Timing (``wall_time``, ``attempts``) and supervisor-internal health
+Timing (``wall_time``) and supervisor-internal health
 (restart counts, resilience counters) vary run to run; if any of it
 leaked into a cached payload, the byte-identity contract — hit bytes ==
 cold-run bytes, report bytes independent of --jobs — would silently
-break the first time a retry or a checkpointed worker produced the
+break the first time a restarted or checkpointed worker produced the
 entry.  :func:`repro.service.store.result_payload` is the single point
 where cacheable bytes are produced, and it hardcodes the exclusion;
 these tests pin that from every direction, including the report layer's
@@ -27,19 +27,19 @@ INTERVAL = 256
 def test_result_payload_structurally_excludes_timing():
     """Even a result carrying real timing serializes without it."""
     result = RunResult(index=0, label="timed", ok=True, completed=True,
-                      cycles=123, wall_time=7.25, attempts=3)
+                      cycles=123, wall_time=7.25)
     doc = json.loads(result_payload(result).decode("utf-8"))
     assert FORBIDDEN_KEYS.isdisjoint(doc)
     # and the round trip zeroes them rather than inventing values
     back = payload_result(result_payload(result))
-    assert back.wall_time == 0.0 and back.attempts == 1
+    assert back.wall_time == 0.0
 
 
 def test_supervised_recovery_leaves_no_timing_or_supervisor_metrics(tmp_path, monkeypatch):
     """The nastiest producer: a supervised run whose worker crashed
     and restarted.  The supervisor's own result files embed timing
     (include_timing=True — sweep resume wants it) and the in-memory
-    result carries wall_time/attempts; none of it may reach the store."""
+    result carries wall_time; none of it may reach the store."""
     monkeypatch.setenv(MARKER_ENV, str(tmp_path / "marker"))
     spec = RunSpec(factory="tests.service.factories:counted_conformance_run",
                    kwargs={"tag": "timing", "payload_len": 384},

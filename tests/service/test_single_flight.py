@@ -11,7 +11,7 @@ appends to (``tests.service.factories``).
 import asyncio
 import os
 
-from repro.runner import ParallelRunner, RunSpec, _execute_spec
+from repro.runner import ParallelRunner, RunSpec, execute
 from repro.service import ResultStore, SweepService
 from repro.service.store import result_payload
 from tests.service.factories import MARKER_ENV, execution_count
@@ -61,7 +61,7 @@ def test_hit_bytes_equal_cold_run_bytes(tmp_path, monkeypatch):
     marker = str(tmp_path / "marker")
     monkeypatch.setenv(MARKER_ENV, marker)
     spec = _spec("coldhit")
-    cold = result_payload(_execute_spec(0, spec))  # plain, no service
+    cold = result_payload(execute(0, spec))  # plain, no service
 
     async def main():
         async with _service(tmp_path) as svc:

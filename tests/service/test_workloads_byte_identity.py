@@ -14,7 +14,7 @@ import asyncio
 
 import pytest
 
-from repro.runner import RunSpec, _execute_spec
+from repro.runner import RunSpec, execute
 from repro.service import ResultStore, SweepService
 from repro.service.store import result_payload
 from repro.workloads import RUN_FACTORIES
@@ -62,7 +62,7 @@ def test_hit_serves_cold_run_bytes(tmp_path, workload, mode):
             return cold, hit
 
     with monitor_mode(mode):
-        oracle = result_payload(_execute_spec(0, spec))  # service-free
+        oracle = result_payload(execute(0, spec))  # service-free
         cold, hit = asyncio.run(main())
     assert (cold.cache, hit.cache) == ("miss", "hit")
     assert cold.ok and hit.ok
