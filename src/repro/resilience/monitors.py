@@ -382,7 +382,8 @@ class MonitorSuite:
     one suite instance follows one run.  ``check`` returns violations
     and feeds the system's resilience counters; ``check_or_raise``
     raises the first violation (supervisor policy: a corrupt run is
-    failed, not resumed).
+    failed, not resumed), its ``violations`` attribute listing every
+    finding of that check as dicts.
     """
 
     def __init__(self, ids: Optional[Sequence[str]] = None):
@@ -411,6 +412,7 @@ class MonitorSuite:
     def check_or_raise(self, system: "EclipseSystem") -> None:
         found = self.check(system)
         if found:
+            found[0].violations = [v.to_dict() for v in found]
             raise found[0]
 
 

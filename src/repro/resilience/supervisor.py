@@ -201,11 +201,7 @@ class _Worker:
         finished = system.all_finished()
         while not finished:
             finished = system.advance(system.sim.now + self.interval)
-            violations = suite.check(system)
-            if violations:
-                # execute() reports the structured list in the metrics
-                violations[0].violations = [v.to_dict() for v in violations]
-                raise violations[0]
+            suite.check_or_raise(system)
             if finished:
                 break  # a finished run needs finalizing, not a checkpoint
             if system.sim.peek() is None:

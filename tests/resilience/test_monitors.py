@@ -154,8 +154,10 @@ def test_check_or_raise_raises_the_first_violation():
     suite = MonitorSuite()
     suite.check_or_raise(system)  # clean: no raise
     corrupt_state(system, "buffer-overrun")
-    with pytest.raises(InvariantViolation, match=r"\[I102\]"):
+    with pytest.raises(InvariantViolation, match=r"\[I102\]") as info:
         suite.check_or_raise(system)
+    # the raised violation lists every finding of its check
+    assert info.value.violations[0] == info.value.to_dict()
 
 
 def test_catalogue_is_complete_and_stable():
